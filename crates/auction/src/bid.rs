@@ -251,8 +251,13 @@ impl Instance {
     ///
     /// Panics if the reference does not address an existing bid.
     pub fn round_time(&self, r: BidRef) -> f64 {
-        let bid = self.bid(r);
-        let profile = &self.clients[r.client.index()];
+        self.round_time_of(r.client, self.bid(r))
+    }
+
+    /// [`round_time`](Self::round_time) of a bid `client` has not (yet)
+    /// submitted. Panics if `client` is out of range.
+    pub(crate) fn round_time_of(&self, client: ClientId, bid: &Bid) -> f64 {
+        let profile = &self.clients[client.index()];
         self.config.local_model().local_iterations(bid.accuracy()) * profile.compute_time()
             + profile.comm_time()
     }

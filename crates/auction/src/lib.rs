@@ -31,7 +31,7 @@
 //! * The horizon enumeration itself runs on a zero-dependency scoped
 //!   worker pool selected by [`SweepStrategy`] (default: `FL_THREADS` or
 //!   the machine's available parallelism), with per-horizon qualification
-//!   served incrementally from [`SweepPrecomp`]. Outcomes are
+//!   served from [`SweepPrecomp`]'s per-bid thresholds. Outcomes are
 //!   bit-identical across strategies; see `ARCHITECTURE.md`.
 //!
 //! # Quickstart
@@ -109,7 +109,7 @@ pub use error::{AuctionError, WdpError};
 pub use online::{DecisionReason, OnlineAuction, OnlineCounters, OnlineDecision, OnlineOutcome};
 pub use parallel::SweepStrategy;
 pub use payment::{payment, PaymentRule};
-pub use preprocess::SweepPrecomp;
+pub use preprocess::{admission_horizon, SweepPrecomp};
 pub use qualify::{min_horizon, qualify, QualifiedBid};
 pub use recover::{standby_pool, StandbyEntry, StandbyPool};
 pub use schedule::{pick_schedule, pick_schedule_into, representative_schedule, SchedulePolicy};

@@ -17,12 +17,10 @@
 //! ```
 //!
 //! On arrival a bid is screened by the *same* qualification gates as the
-//! batch sweep — served incrementally from [`SweepPrecomp::insert`] /
-//! [`SweepPrecomp::remove`], which the batch-equivalence oracle
-//! ([`SweepPrecomp::rebatch`]) holds bit-identical to a fresh batch
-//! qualification over the surviving bids. A qualified bid is scheduled
-//! into the earliest still-uncovered rounds of its truncated window and
-//! committed iff
+//! batch sweep — [`crate::admission_horizon`], the pure per-bid rule the
+//! batch [`crate::SweepPrecomp`] also computes its thresholds with. A
+//! qualified bid is scheduled into the earliest still-uncovered rounds of
+//! its truncated window and committed iff
 //!
 //! 1. at least one of its rounds is still uncovered (`gain ≥ 1`),
 //! 2. its claimed cost does not exceed the posted offer `π · gain`, and
@@ -37,17 +35,25 @@
 //! exceeds `B` (budget feasibility). The certifier checks all three on
 //! replayed arrival prefixes.
 //!
-//! Decisions are irrevocable: expiry ([`OnlineAuction::expire`]) only
-//! removes *uncommitted* bids from the qualified pool, and duplicate
-//! submissions (client retries, duplicated frames) replay the original
-//! decision instead of double-counting coverage — see
-//! [`OnlineAuction::submit`].
+//! Decisions are irrevocable, and a verdict reads only the bid, the
+//! posted price, coverage and budget spent so far — never other pending
+//! bids, so an uncommitted bid needs no expiry. Duplicate submissions
+//! (client retries, duplicated frames) replay the original decision
+//! instead of double-counting coverage — see [`OnlineAuction::submit`].
+//!
+//! # Deciding without committing
+//!
+//! [`OnlineAuction::submit`] is [`OnlineAuction::decide`] (side-effect
+//! free: the verdict the next arrival *would* get) followed by
+//! [`OnlineAuction::commit`]. A caller that must make the arrival durable
+//! before the driver moves — the `flpd` daemon journals every verdict
+//! first — decides, persists, then commits the same verdict.
 //!
 //! # Degenerate inputs
 //!
 //! `B = 0` posts a zero offer, so only zero-priced bids can commit; an
-//! empty arrival prefix or a horizon where every bid has expired simply
-//! yields an empty committed set. None of these panic.
+//! empty arrival prefix or a stream of unqualified bids simply yields an
+//! empty committed set. None of these panic.
 
 use std::collections::HashMap;
 
@@ -55,7 +61,7 @@ use crate::bid::{Bid, ClientProfile, Instance};
 use crate::config::AuctionConfig;
 use crate::coverage::Coverage;
 use crate::error::AuctionError;
-use crate::preprocess::SweepPrecomp;
+use crate::preprocess::admission_horizon;
 use crate::types::{BidRef, ClientId, Round};
 use crate::wdp::{WdpSolution, WinnerEntry};
 use fl_telemetry::counter;
@@ -137,8 +143,6 @@ pub struct OnlineCounters {
     pub rejected_price: u64,
     /// Rejections: offer exceeded the remaining budget.
     pub rejected_budget: u64,
-    /// Uncommitted bids removed from the pool by expiry.
-    pub expired: u64,
 }
 
 /// Final state of an online run: the committed set and its accounting.
@@ -216,9 +220,10 @@ impl OnlineOutcome {
 
 /// Fingerprint of a submission used for duplicate detection: every field
 /// a client sends, with float payloads compared bit-for-bit.
-type BidKey = (u32, u64, u64, u32, u32, u32);
+pub type BidKey = (u32, u64, u64, u32, u32, u32);
 
-fn bid_key(client: ClientId, bid: &Bid) -> BidKey {
+/// The [`BidKey`] of `client` submitting `bid`.
+pub fn bid_key(client: ClientId, bid: &Bid) -> BidKey {
     (
         client.0,
         bid.price().to_bits(),
@@ -255,10 +260,8 @@ fn bid_key(client: ClientId, bid: &Bid) -> BidKey {
 #[derive(Debug, Clone)]
 pub struct OnlineAuction {
     instance: Instance,
-    precomp: SweepPrecomp,
     coverage: Coverage,
     winners: Vec<WinnerEntry>,
-    committed_refs: Vec<BidRef>,
     seen: HashMap<BidKey, OnlineDecision>,
     budget: f64,
     spent: f64,
@@ -284,14 +287,11 @@ impl OnlineAuction {
         let horizon = config.max_rounds();
         let k = config.clients_per_round();
         let price_per_round = budget / (f64::from(k) * f64::from(horizon));
-        let precomp = SweepPrecomp::empty(&config);
         let coverage = Coverage::new(horizon, k);
         Ok(OnlineAuction {
             instance: Instance::new(config),
-            precomp,
             coverage,
             winners: Vec::new(),
-            committed_refs: Vec::new(),
             seen: HashMap::new(),
             budget,
             spent: 0.0,
@@ -326,11 +326,6 @@ impl OnlineAuction {
         &self.instance
     }
 
-    /// The incremental qualified-set precomp (live = arrived, unexpired).
-    pub fn precomp(&self) -> &SweepPrecomp {
-        &self.precomp
-    }
-
     /// Run counters so far.
     pub fn counters(&self) -> OnlineCounters {
         self.counters
@@ -341,78 +336,56 @@ impl OnlineAuction {
         self.instance.add_client(profile)
     }
 
-    /// Processes one arriving bid and returns the irrevocable decision.
+    /// Processes one arriving bid and returns the irrevocable decision:
+    /// [`decide`](Self::decide), then [`commit`](Self::commit).
     ///
     /// A submission identical to an earlier one (same client and bid
     /// fields, floats compared bit-for-bit) is a *duplicate*: the original
     /// decision is returned with [`OnlineDecision::duplicate`] set, and
-    /// neither the qualified pool nor coverage nor the budget moves —
-    /// client retries and duplicated frames cannot double-count.
+    /// neither the arrivals nor coverage nor the budget moves — client
+    /// retries and duplicated frames cannot double-count.
     ///
     /// # Errors
     ///
     /// Returns [`AuctionError::InvalidInstance`] when `client` is unknown.
     pub fn submit(&mut self, client: ClientId, bid: Bid) -> Result<OnlineDecision, AuctionError> {
-        let key = bid_key(client, &bid);
-        if let Some(original) = self.seen.get(&key) {
-            self.counters.duplicates += 1;
-            counter!("online.duplicates", 1);
-            let mut replay = original.clone();
-            replay.duplicate = true;
-            return Ok(replay);
-        }
-        let bid_ref = self.instance.add_bid(client, bid)?;
-        let round_time = self.instance.round_time(bid_ref);
-        self.precomp.insert(bid_ref, &bid, round_time);
-        self.counters.arrived += 1;
-        counter!("online.arrived", 1);
-
-        let decision = self.decide(bid_ref, &bid);
-        if decision.committed {
-            self.coverage.add(&decision.schedule);
-            self.spent += decision.payment;
-            self.winners.push(WinnerEntry {
-                bid_ref,
-                price: bid.price(),
-                payment: decision.payment,
-                schedule: decision.schedule.clone(),
-            });
-            self.committed_refs.push(bid_ref);
-            self.counters.committed += 1;
-            counter!("online.committed", 1);
-        } else {
-            counter!("online.rejected", 1);
-        }
-        self.seen.insert(key, decision.clone());
+        let decision = self.decide(client, &bid)?;
+        self.commit(client, bid, &decision);
         Ok(decision)
     }
 
-    /// The commit/reject rule (gate order is part of the journal
-    /// contract: qualification → capacity → price → budget).
-    fn decide(&mut self, bid_ref: BidRef, bid: &Bid) -> OnlineDecision {
-        let reject = |counters: &mut OnlineCounters, reason: DecisionReason| {
-            match reason {
-                DecisionReason::Unqualified => counters.rejected_unqualified += 1,
-                DecisionReason::NoCapacity => counters.rejected_no_capacity += 1,
-                DecisionReason::PriceAboveOffer => counters.rejected_price += 1,
-                DecisionReason::BudgetExhausted => counters.rejected_budget += 1,
-                DecisionReason::Committed => unreachable!("reject never carries Committed"),
-            }
-            OnlineDecision {
-                bid_ref,
-                committed: false,
-                payment: 0.0,
-                schedule: Vec::new(),
-                reason,
-                duplicate: false,
-            }
+    /// The verdict [`submit`](Self::submit) would return for this arrival
+    /// now, without taking it: no state, counter or telemetry moves. The
+    /// gate order is part of the journal contract: duplicate →
+    /// qualification → capacity → price → budget.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AuctionError::InvalidInstance`] when `client` is unknown.
+    pub fn decide(&self, client: ClientId, bid: &Bid) -> Result<OnlineDecision, AuctionError> {
+        if let Some(original) = self.seen.get(&bid_key(client, bid)) {
+            return Ok(OnlineDecision {
+                duplicate: true,
+                ..original.clone()
+            });
+        }
+        if client.index() >= self.instance.num_clients() {
+            return Err(AuctionError::invalid(format!("unknown {client}")));
+        }
+        let bid_ref = BidRef::new(client, self.instance.bids_of(client).len() as u32);
+        let reject = |reason| OnlineDecision {
+            bid_ref,
+            committed: false,
+            payment: 0.0,
+            schedule: Vec::new(),
+            reason,
+            duplicate: false,
         };
-        let qualified = self
-            .precomp
-            .admission_horizon(bid_ref)
+        let round_time = self.instance.round_time_of(client, bid);
+        let qualified = admission_horizon(bid, round_time, self.instance.config())
             .is_some_and(|h| h <= self.horizon);
         if !qualified {
-            return reject(&mut self.counters, DecisionReason::Unqualified);
+            return Ok(reject(DecisionReason::Unqualified));
         }
         let window = bid
             .window()
@@ -424,51 +397,70 @@ impl OnlineAuction {
             .take(bid.rounds() as usize)
             .collect();
         if schedule.is_empty() {
-            return reject(&mut self.counters, DecisionReason::NoCapacity);
+            return Ok(reject(DecisionReason::NoCapacity));
         }
         let offer = self.price_per_round * schedule.len() as f64;
         if bid.price() > offer {
-            return reject(&mut self.counters, DecisionReason::PriceAboveOffer);
+            return Ok(reject(DecisionReason::PriceAboveOffer));
         }
         if self.spent + offer > self.budget {
-            return reject(&mut self.counters, DecisionReason::BudgetExhausted);
+            return Ok(reject(DecisionReason::BudgetExhausted));
         }
-        OnlineDecision {
+        Ok(OnlineDecision {
             bid_ref,
             committed: true,
             payment: offer,
             schedule,
             reason: DecisionReason::Committed,
             duplicate: false,
-        }
+        })
     }
 
-    /// Expires an uncommitted bid: removes it from the qualified pool, as
-    /// if it had never arrived. Returns `false` (and changes nothing) for
-    /// committed bids — commitments are irrevocable — and for references
-    /// that are not live (never arrived, or already expired).
-    pub fn expire(&mut self, bid_ref: BidRef) -> bool {
-        if self.committed_refs.contains(&bid_ref) {
-            return false;
+    /// Takes `decision`: records the arrival, and on commit its coverage,
+    /// payment and winner entry.
+    ///
+    /// `decision` must be what [`decide`](Self::decide) returned for the
+    /// same `(client, bid)` with no other commit in between; any other
+    /// verdict corrupts the run's accounting.
+    pub fn commit(&mut self, client: ClientId, bid: Bid, decision: &OnlineDecision) {
+        if decision.duplicate {
+            self.counters.duplicates += 1;
+            counter!("online.duplicates", 1);
+            return;
         }
-        let removed = self.precomp.remove(bid_ref);
-        if removed {
-            self.counters.expired += 1;
-            counter!("online.expired", 1);
+        let key = bid_key(client, &bid);
+        self.instance
+            .add_bid(client, bid)
+            .expect("a decided arrival names a registered client");
+        self.counters.arrived += 1;
+        counter!("online.arrived", 1);
+        match decision.reason {
+            DecisionReason::Committed => {
+                self.coverage.add(&decision.schedule);
+                self.spent += decision.payment;
+                self.winners.push(WinnerEntry {
+                    bid_ref: decision.bid_ref,
+                    price: bid.price(),
+                    payment: decision.payment,
+                    schedule: decision.schedule.clone(),
+                });
+                self.counters.committed += 1;
+                counter!("online.committed", 1);
+            }
+            DecisionReason::Unqualified => self.counters.rejected_unqualified += 1,
+            DecisionReason::NoCapacity => self.counters.rejected_no_capacity += 1,
+            DecisionReason::PriceAboveOffer => self.counters.rejected_price += 1,
+            DecisionReason::BudgetExhausted => self.counters.rejected_budget += 1,
         }
-        removed
+        if !decision.committed {
+            counter!("online.rejected", 1);
+        }
+        self.seen.insert(key, decision.clone());
     }
 
     /// Closes the run and returns the committed set with its accounting.
     pub fn finish(self) -> OnlineOutcome {
-        OnlineOutcome {
-            horizon: self.horizon,
-            budget: self.budget,
-            winners: self.winners,
-            covered: self.coverage.covered(),
-            total_demand: self.coverage.total_demand(),
-            counters: self.counters,
-        }
+        self.outcome()
     }
 
     /// A snapshot outcome without consuming the driver (used by the
@@ -588,40 +580,29 @@ mod tests {
     }
 
     #[test]
-    fn expiry_removes_uncommitted_bids_but_never_commitments() {
+    fn decide_moves_nothing_and_predicts_submit() {
         let mut online = OnlineAuction::new(cfg(4, 1), 40.0).unwrap();
-        let c0 = online.register_client(ClientProfile::new(1.0, 1.0).unwrap());
-        let c1 = online.register_client(ClientProfile::new(1.0, 1.0).unwrap());
-        let won = online.submit(c0, bid(25.0, 1, 4, 4)).unwrap();
-        let lost = online.submit(c1, bid(90.0, 1, 4, 4)).unwrap();
-        assert!(won.committed && !lost.committed);
-        assert!(!online.expire(won.bid_ref), "commitments are irrevocable");
-        assert!(online.expire(lost.bid_ref));
-        assert!(!online.expire(lost.bid_ref), "second expiry is a no-op");
-        assert_eq!(online.counters().expired, 1);
-        assert!(!online.precomp().contains(lost.bid_ref));
-        let out = online.finish();
-        assert_eq!(out.winners().len(), 1);
-    }
-
-    #[test]
-    fn all_bids_expired_horizon_yields_empty_committed_set() {
-        let mut online = OnlineAuction::new(cfg(4, 1), 1.0).unwrap();
         let c = online.register_client(ClientProfile::new(1.0, 1.0).unwrap());
-        let mut refs = Vec::new();
-        for i in 0..3 {
-            // All priced far above the posted offer → all rejected.
-            let d = online.submit(c, bid(50.0 + f64::from(i), 1, 4, 2)).unwrap();
-            assert!(!d.committed);
-            refs.push(d.bid_ref);
+        let arrivals = [bid(25.0, 1, 4, 4), bid(25.0, 1, 4, 4), bid(1.0, 1, 4, 4)];
+        for b in arrivals {
+            let before = (
+                online.counters(),
+                online.instance().num_bids(),
+                online.spent,
+            );
+            let preview = online.decide(c, &b).unwrap();
+            assert_eq!(online.decide(c, &b).unwrap(), preview, "decide is pure");
+            let after = (
+                online.counters(),
+                online.instance().num_bids(),
+                online.spent,
+            );
+            assert_eq!(before, after, "decide moved state");
+            assert_eq!(online.submit(c, b).unwrap(), preview);
         }
-        for r in refs {
-            assert!(online.expire(r));
-        }
-        assert_eq!(online.precomp().live_bids(), 0);
-        let out = online.finish();
-        assert!(out.winners().is_empty());
-        assert_eq!(out.counters().expired, 3);
+        assert!(online.decide(ClientId(9), &bid(1.0, 1, 4, 1)).is_err());
+        assert_eq!(online.counters().arrived, 2);
+        assert_eq!(online.counters().duplicates, 1);
     }
 
     #[test]
@@ -707,10 +688,10 @@ mod tests {
     }
 
     #[test]
-    fn insert_only_stream_with_infinite_budget_matches_batch_prefixes() {
-        // Satellite property at the driver level: streaming arrivals with
-        // no expiries and B = ∞ keep the incremental precomp bit-identical
-        // to a batch precomp over the instance at every prefix.
+    fn online_admission_matches_batch_admission_at_every_prefix() {
+        // The online gate and the batch sweep share one admission rule:
+        // every arrival qualifies online iff a batch precomp over the
+        // grown instance admits it at some horizon ≤ T.
         let mut online = OnlineAuction::new(cfg(6, 2), f64::INFINITY).unwrap();
         let clients: Vec<ClientId> = (0..3)
             .map(|i| online.register_client(ClientProfile::new(1.0 + f64::from(i), 2.0).unwrap()))
@@ -723,33 +704,17 @@ mod tests {
             (1, 2.0, 1, 6, 6),
         ];
         for (ci, price, a, d, c) in arrivals {
-            online.submit(clients[ci], bid(price, a, d, c)).unwrap();
-            let incremental = online.precomp();
-            // The rebatch oracle rebuilds from the survivors in arrival
-            // order: every observable must be bit-identical.
-            let oracle = incremental.rebatch();
-            for h in 1..=oracle.horizon_cap() {
-                assert_eq!(
-                    oracle.qualify_at(h).bids(),
-                    incremental.qualify_at(h).bids(),
-                    "prefix diverges from the oracle at T̂_g = {h}"
-                );
-                assert_eq!(
-                    oracle.cost_lower_bound(h).to_bits(),
-                    incremental.cost_lower_bound(h).to_bits()
-                );
-            }
-            // A batch precomp over the grown instance iterates client-major
-            // rather than arrival order, so compare the *per-bid*
-            // thresholds, which are order-independent.
-            let batch = SweepPrecomp::new(online.instance());
-            for (bid_ref, _) in online.instance().iter_bids() {
-                assert_eq!(
-                    batch.admission_horizon(bid_ref),
-                    incremental.admission_horizon(bid_ref),
-                    "threshold diverges for {bid_ref}"
-                );
-            }
+            let decision = online.submit(clients[ci], bid(price, a, d, c)).unwrap();
+            let batch = crate::SweepPrecomp::new(online.instance());
+            let admitted = batch
+                .admission_horizon(decision.bid_ref)
+                .is_some_and(|h| h <= online.horizon());
+            assert_eq!(
+                decision.reason != DecisionReason::Unqualified,
+                admitted,
+                "admission diverges for {}",
+                decision.bid_ref
+            );
         }
     }
 }

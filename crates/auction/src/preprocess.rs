@@ -72,6 +72,58 @@ fn dominates(a: &QualifiedBid, b: &QualifiedBid) -> bool {
 /// Sentinel threshold for "no horizon in the sweep admits this bid".
 const NEVER: u32 = u32::MAX;
 
+/// One bid's qualification gates under one configuration, each folded
+/// into the smallest horizon it admits the bid at.
+struct Gates {
+    /// Whether `t_ij ≤ t_max + ε` (horizon-independent).
+    time_ok: bool,
+    /// Smallest horizon passing the accuracy gate `θ ≤ 1 − 1/T̂_g + ε`
+    /// ([`NEVER`] if none within `T`).
+    h_accuracy: u32,
+    /// Smallest horizon passing the window gate under the configured
+    /// [`QualifyMode`].
+    h_window: u32,
+}
+
+impl Gates {
+    fn of(bid: &Bid, round_time: f64, config: &AuctionConfig) -> Gates {
+        let a = u64::from(bid.window().start().0);
+        let c = u64::from(bid.rounds());
+        Gates {
+            time_ok: round_time <= config.round_time_limit() + QUALIFY_EPS,
+            h_accuracy: accuracy_threshold(bid.accuracy(), config.max_rounds()),
+            h_window: match config.qualify_mode() {
+                // Truncated window `[a, min(d, T̂_g)]` holds `c` rounds
+                // iff `T̂_g ≥ a + c − 1` (bids guarantee `c ≤ d − a + 1`).
+                QualifyMode::Intent => clamp_u32(a + c - 1),
+                // Literal Alg. 1 line 6: `a + c ≤ T̂_g`.
+                QualifyMode::Literal => clamp_u32(a + c),
+            },
+        }
+    }
+
+    /// Smallest horizon at which every gate admits the bid, or [`NEVER`].
+    fn admission(&self) -> u32 {
+        if !self.time_ok || self.h_accuracy == NEVER {
+            NEVER
+        } else {
+            self.h_accuracy.max(self.h_window)
+        }
+    }
+}
+
+/// The smallest horizon in `1..=T` at which [`crate::qualify()`] admits
+/// `bid` under `config`, or `None` if none does. `round_time` is the
+/// bid's per-round wall clock ([`Instance::round_time`]).
+///
+/// A pure function of the bid and the configuration: the batch sweep
+/// ([`SweepPrecomp`]) and the online mode ([`crate::OnlineAuction`]) both
+/// qualify through it, so the two cannot disagree on any bid.
+pub fn admission_horizon(bid: &Bid, round_time: f64, config: &AuctionConfig) -> Option<u32> {
+    let h = Gates::of(bid, round_time, config).admission();
+    (h != NEVER).then_some(h)
+}
+
 /// Per-bid admissibility data precomputed once per sweep, stored as
 /// parallel columns (one entry per bid, instance order) in the same
 /// struct-of-arrays style as [`crate::columnar`]: the per-horizon
@@ -88,13 +140,11 @@ struct PrecompColumns {
     windows: Vec<Window>,
     rounds: Vec<u32>,
     round_times: Vec<f64>,
-    /// Whether `t_ij ≤ t_max + ε` (horizon-independent).
+    /// [`Gates::time_ok`] per bid.
     time_ok: Vec<bool>,
-    /// Smallest horizon passing the accuracy gate `θ ≤ 1 − 1/T̂_g + ε`
-    /// ([`NEVER`] if none within the sweep).
+    /// [`Gates::h_accuracy`] per bid.
     h_accuracy: Vec<u32>,
-    /// Smallest horizon passing the window gate under the instance's
-    /// [`QualifyMode`].
+    /// [`Gates::h_window`] per bid.
     h_window: Vec<u32>,
     /// Smallest horizon at which the bid qualifies outright, or [`NEVER`].
     min_admissible: Vec<u32>,
@@ -108,15 +158,16 @@ impl PrecompColumns {
     }
 }
 
-/// Incremental qualification for the `A_FL` horizon sweep.
+/// Threshold-based qualification for the `A_FL` horizon sweep.
 ///
 /// Every gate in [`crate::qualify::qualify`] is monotone in the horizon:
 /// the accuracy bound `θ_max = 1 − 1/T̂_g` relaxes as `T̂_g` grows, the
 /// `t_max` check does not depend on `T̂_g` at all, and the truncated window
 /// only gains rounds. A bid's qualification status therefore flips from
-/// rejected to accepted at exactly one threshold horizon, which this type
-/// computes once per bid (binary-searching the accuracy gate along the
-/// *identical* floating-point comparison `qualify` uses). After that,
+/// rejected to accepted at exactly one threshold horizon
+/// ([`admission_horizon`]), which this type computes once per bid
+/// (binary-searching the accuracy gate along the *identical*
+/// floating-point comparison `qualify` uses). After that,
 /// [`SweepPrecomp::qualify_at`] rebuilds any horizon's qualified set —
 /// same bids, same order, same truncated windows, same telemetry counters
 /// — by threshold comparison, in `O(bids)` with no float re-derivation.
@@ -124,56 +175,17 @@ impl PrecompColumns {
 /// The thresholds also yield [`SweepPrecomp::cost_lower_bound`], the
 /// admissible-average-cost bound `A_FL` uses to skip horizons that provably
 /// cannot beat an already-found outcome.
-///
-/// # Incremental maintenance
-///
-/// Beyond the batch constructor, the precomp supports streaming
-/// maintenance for the online auction mode ([`crate::online`]):
-/// [`insert`](SweepPrecomp::insert) appends one bid's threshold columns
-/// (the exact computation the batch constructor runs per bid), and
-/// [`remove`](SweepPrecomp::remove) tombstones a slot so every later
-/// [`qualify_at`](SweepPrecomp::qualify_at) /
-/// [`cost_lower_bound`](SweepPrecomp::cost_lower_bound) behaves as if the
-/// bid had never arrived. The invariant, enforced by
-/// [`rebatch`](SweepPrecomp::rebatch) (the batch-equivalence oracle) and
-/// the property suite, is that after **any** insert/delete sequence the
-/// precomp is observationally identical — bid sets, gate counters,
-/// lower bounds — to a fresh batch precomp over the surviving bids in
-/// arrival order.
 #[derive(Debug, Clone)]
 pub struct SweepPrecomp {
     k: u32,
     horizon_cap: u32,
-    t_max: f64,
-    mode: QualifyMode,
     cols: PrecompColumns,
-    /// Parallel to `cols`: `false` marks tombstoned (removed) slots. Every
-    /// scan skips dead slots, so observable behaviour matches a rebuild on
-    /// the survivors.
-    alive: Vec<bool>,
-    live: usize,
-    /// Indices of live admissible entries sorted by `(avg, slot)` — the
-    /// order the batch stable sort produces — for the lower bound's
-    /// cheapest-slot scan.
+    /// Indices of admissible entries sorted by `(avg, slot)` for the
+    /// lower bound's cheapest-slot scan.
     by_avg: Vec<usize>,
 }
 
 impl SweepPrecomp {
-    /// An empty precomp ready for streaming [`insert`](SweepPrecomp::insert)s
-    /// under `config`'s gates (horizon cap `T`, `t_max`, qualify mode).
-    pub fn empty(config: &AuctionConfig) -> SweepPrecomp {
-        SweepPrecomp {
-            k: config.clients_per_round(),
-            horizon_cap: config.max_rounds(),
-            t_max: config.round_time_limit(),
-            mode: config.qualify_mode(),
-            cols: PrecompColumns::default(),
-            alive: Vec::new(),
-            live: 0,
-            by_avg: Vec::new(),
-        }
-    }
-
     /// Precomputes per-bid admissibility thresholds for sweeping
     /// `instance`'s horizons `1..=T`.
     pub fn new(instance: &Instance) -> SweepPrecomp {
@@ -181,13 +193,17 @@ impl SweepPrecomp {
             "sweep_precompute",
             bids = instance.iter_bids().count() as u64
         );
-        let mut precomp = Self::empty(instance.config());
+        let config = instance.config();
+        let mut precomp = SweepPrecomp {
+            k: config.clients_per_round(),
+            horizon_cap: config.max_rounds(),
+            cols: PrecompColumns::default(),
+            by_avg: Vec::new(),
+        };
         for (bid_ref, bid) in instance.iter_bids() {
-            precomp.push_columns(bid_ref, bid, instance.round_time(bid_ref));
+            precomp.push_columns(bid_ref, bid, instance.round_time(bid_ref), config);
         }
-        // Batch path: one stable sort instead of n sorted insertions.
-        // Stable sort keys equal averages by slot order, so the result is
-        // exactly the `(avg, slot)` order `insert` maintains incrementally.
+        // A stable sort keys equal averages by slot order.
         let mut by_avg: Vec<usize> = (0..precomp.cols.len())
             .filter(|&i| precomp.cols.min_admissible[i] != NEVER)
             .collect();
@@ -196,147 +212,26 @@ impl SweepPrecomp {
         precomp
     }
 
-    /// Appends one bid's threshold columns; identical per-bid computation
-    /// to the batch constructor. Returns the new slot index.
-    fn push_columns(&mut self, bid_ref: BidRef, bid: &Bid, round_time: f64) -> usize {
-        let time_ok = round_time <= self.t_max + QUALIFY_EPS;
-        let h_accuracy = accuracy_threshold(bid.accuracy(), self.horizon_cap);
-        let a = u64::from(bid.window().start().0);
-        let c = u64::from(bid.rounds());
-        let h_window = match self.mode {
-            // Truncated window `[a, min(d, T̂_g)]` holds `c` rounds
-            // iff `T̂_g ≥ a + c − 1` (bids guarantee `c ≤ d − a + 1`).
-            QualifyMode::Intent => clamp_u32(a + c - 1),
-            // Literal Alg. 1 line 6: `a + c ≤ T̂_g`.
-            QualifyMode::Literal => clamp_u32(a + c),
-        };
-        let min_admissible = if !time_ok || h_accuracy == NEVER {
-            NEVER
-        } else {
-            h_accuracy.max(h_window)
-        };
-        let slot = self.cols.len();
+    /// Appends one bid's threshold columns.
+    fn push_columns(
+        &mut self,
+        bid_ref: BidRef,
+        bid: &Bid,
+        round_time: f64,
+        config: &AuctionConfig,
+    ) {
+        let gates = Gates::of(bid, round_time, config);
         self.cols.bid_refs.push(bid_ref);
         self.cols.prices.push(bid.price());
         self.cols.accuracies.push(bid.accuracy());
         self.cols.windows.push(bid.window());
         self.cols.rounds.push(bid.rounds());
         self.cols.round_times.push(round_time);
-        self.cols.time_ok.push(time_ok);
-        self.cols.h_accuracy.push(h_accuracy);
-        self.cols.h_window.push(h_window);
-        self.cols.min_admissible.push(min_admissible);
+        self.cols.time_ok.push(gates.time_ok);
+        self.cols.h_accuracy.push(gates.h_accuracy);
+        self.cols.h_window.push(gates.h_window);
+        self.cols.min_admissible.push(gates.admission());
         self.cols.avg.push(bid.price() / f64::from(bid.rounds()));
-        self.alive.push(true);
-        self.live += 1;
-        slot
-    }
-
-    /// Streams one bid into the precomp: threshold columns plus a sorted
-    /// insertion into the lower-bound scan order. After an insert-only
-    /// sequence the precomp is bit-identical to
-    /// [`SweepPrecomp::new`] over the same bids in the same order.
-    ///
-    /// `round_time` is the bid's per-round wall clock
-    /// ([`Instance::round_time`]); it is passed in because a streaming
-    /// caller owns the growing instance.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bid_ref` is already live — duplicate submissions must be
-    /// deduplicated by the caller ([`crate::online::OnlineAuction`] keeps
-    /// them idempotent).
-    pub fn insert(&mut self, bid_ref: BidRef, bid: &Bid, round_time: f64) {
-        assert!(
-            !self.contains(bid_ref),
-            "duplicate insert of live bid {bid_ref}"
-        );
-        let slot = self.push_columns(bid_ref, bid, round_time);
-        if self.cols.min_admissible[slot] != NEVER {
-            let avg = self.cols.avg[slot];
-            let at = self
-                .by_avg
-                .partition_point(|&i| self.cols.avg[i].total_cmp(&avg).then(i.cmp(&slot)).is_lt());
-            self.by_avg.insert(at, slot);
-        }
-    }
-
-    /// Tombstones a live bid (expiry in the online mode): every later scan
-    /// behaves as if the bid had never arrived. Returns `false` when no
-    /// live slot holds `bid_ref` (already removed, or never inserted).
-    pub fn remove(&mut self, bid_ref: BidRef) -> bool {
-        let Some(slot) = self.live_slot(bid_ref) else {
-            return false;
-        };
-        self.alive[slot] = false;
-        self.live -= 1;
-        if self.cols.min_admissible[slot] != NEVER {
-            if let Ok(at) = self.by_avg.binary_search_by(|&i| {
-                self.cols.avg[i]
-                    .total_cmp(&self.cols.avg[slot])
-                    .then(i.cmp(&slot))
-            }) {
-                self.by_avg.remove(at);
-            }
-        }
-        true
-    }
-
-    /// Whether a live (inserted, not removed) slot holds `bid_ref`.
-    pub fn contains(&self, bid_ref: BidRef) -> bool {
-        self.live_slot(bid_ref).is_some()
-    }
-
-    /// Number of live bids.
-    pub fn live_bids(&self) -> usize {
-        self.live
-    }
-
-    fn live_slot(&self, bid_ref: BidRef) -> Option<usize> {
-        (0..self.cols.len()).find(|&i| self.alive[i] && self.cols.bid_refs[i] == bid_ref)
-    }
-
-    /// The batch-equivalence oracle: a fresh precomp rebuilt from the
-    /// surviving bids in arrival order, exactly as
-    /// [`SweepPrecomp::new`] would build it had the removed bids never
-    /// existed. The incremental precomp must agree with this rebuild on
-    /// every observable — [`qualify_at`](SweepPrecomp::qualify_at) bid
-    /// sets and counters, and
-    /// [`cost_lower_bound`](SweepPrecomp::cost_lower_bound) — which the
-    /// property suite and the certifier's online properties check.
-    pub fn rebatch(&self) -> SweepPrecomp {
-        let mut cols = PrecompColumns::default();
-        for i in 0..self.cols.len() {
-            if !self.alive[i] {
-                continue;
-            }
-            cols.bid_refs.push(self.cols.bid_refs[i]);
-            cols.prices.push(self.cols.prices[i]);
-            cols.accuracies.push(self.cols.accuracies[i]);
-            cols.windows.push(self.cols.windows[i]);
-            cols.rounds.push(self.cols.rounds[i]);
-            cols.round_times.push(self.cols.round_times[i]);
-            cols.time_ok.push(self.cols.time_ok[i]);
-            cols.h_accuracy.push(self.cols.h_accuracy[i]);
-            cols.h_window.push(self.cols.h_window[i]);
-            cols.min_admissible.push(self.cols.min_admissible[i]);
-            cols.avg.push(self.cols.avg[i]);
-        }
-        let mut by_avg: Vec<usize> = (0..cols.len())
-            .filter(|&i| cols.min_admissible[i] != NEVER)
-            .collect();
-        by_avg.sort_by(|&i, &j| cols.avg[i].total_cmp(&cols.avg[j]));
-        let live = cols.len();
-        SweepPrecomp {
-            k: self.k,
-            horizon_cap: self.horizon_cap,
-            t_max: self.t_max,
-            mode: self.mode,
-            alive: vec![true; live],
-            live,
-            cols,
-            by_avg,
-        }
     }
 
     /// The largest horizon (`T`) the thresholds were computed for.
@@ -366,9 +261,6 @@ impl SweepPrecomp {
         let (mut examined, mut by_accuracy, mut by_time, mut by_window) = (0u64, 0u64, 0u64, 0u64);
         let mut bids = Vec::new();
         for i in 0..self.cols.len() {
-            if !self.alive[i] {
-                continue;
-            }
             examined += 1;
             // Same gate order as `qualify`, so rejection counters agree.
             // Only the three threshold columns are read until admission.
@@ -434,11 +326,11 @@ impl SweepPrecomp {
     }
 
     /// The smallest horizon at which `bid_ref` qualifies, or `None` if no
-    /// horizon in `1..=T` admits it (exposed for tests and analyses).
+    /// horizon in `1..=T` admits it — or no bid is `bid_ref`. A linear
+    /// lookup, exposed for tests and analyses.
     pub fn admission_horizon(&self, bid_ref: BidRef) -> Option<u32> {
-        self.live_slot(bid_ref).and_then(|i| {
-            (self.cols.min_admissible[i] != NEVER).then_some(self.cols.min_admissible[i])
-        })
+        let i = self.cols.bid_refs.iter().position(|&r| r == bid_ref)?;
+        (self.cols.min_admissible[i] != NEVER).then_some(self.cols.min_admissible[i])
     }
 }
 
@@ -716,27 +608,7 @@ mod tests {
         }
     }
 
-    // ---- Incremental insert/delete vs the batch oracle ------------------
-
-    /// Asserts two precomps are observationally identical at every horizon:
-    /// same qualified bid sets, same gate counters, same lower-bound bits.
-    fn assert_equivalent(a: &SweepPrecomp, b: &SweepPrecomp, what: &str) {
-        assert_eq!(a.horizon_cap(), b.horizon_cap(), "{what}: horizon cap");
-        assert_eq!(a.live_bids(), b.live_bids(), "{what}: live bids");
-        for h in 1..=a.horizon_cap() {
-            let (wa, wb) = (a.qualify_at(h), b.qualify_at(h));
-            assert_eq!(wa.bids(), wb.bids(), "{what}: bid sets at T̂_g = {h}");
-            let ca = counters_of(|| drop(a.qualify_at(h)));
-            let cb = counters_of(|| drop(b.qualify_at(h)));
-            assert_eq!(ca.counters, cb.counters, "{what}: counters at T̂_g = {h}");
-            let (la, lb) = (a.cost_lower_bound(h), b.cost_lower_bound(h));
-            assert_eq!(
-                la.to_bits(),
-                lb.to_bits(),
-                "{what}: lower bound at T̂_g = {h} ({la} vs {lb})"
-            );
-        }
-    }
+    // ---- The pure admission rule vs the batch thresholds ----------------
 
     /// A richer mixed instance: several clients, several bids each, every
     /// gate exercised (time-rejected, late-accuracy, escaping windows).
@@ -776,108 +648,20 @@ mod tests {
     }
 
     #[test]
-    fn insert_only_streaming_matches_batch_at_every_prefix() {
+    fn admission_horizon_is_the_precomp_threshold_for_every_bid() {
         for mode in [QualifyMode::Intent, QualifyMode::Literal] {
             let inst = mixed_instance(mode);
-            let all: Vec<(BidRef, Bid)> = inst.iter_bids().map(|(r, b)| (r, *b)).collect();
-            let mut streaming = SweepPrecomp::empty(inst.config());
-            for (n, (bid_ref, bid)) in all.iter().enumerate() {
-                streaming.insert(*bid_ref, bid, inst.round_time(*bid_ref));
-                // Batch reference over exactly the arrival prefix: a fresh
-                // instance holding the first n+1 bids in arrival order.
-                let mut prefix = Instance::new(inst.config().clone());
-                for p in inst.clients() {
-                    prefix.add_client(*p);
-                }
-                for (r, b) in &all[..=n] {
-                    assert_eq!(prefix.add_bid(r.client, *b).unwrap(), *r);
-                }
-                assert_equivalent(
-                    &streaming,
-                    &SweepPrecomp::new(&prefix),
-                    &format!("prefix {} ({mode:?})", n + 1),
+            let precomp = SweepPrecomp::new(&inst);
+            for (bid_ref, bid) in inst.iter_bids() {
+                assert_eq!(
+                    admission_horizon(bid, inst.round_time(bid_ref), inst.config()),
+                    precomp.admission_horizon(bid_ref),
+                    "admission diverges for {bid_ref} ({mode:?})"
                 );
             }
+            let absent = BidRef::new(ClientId(99), 0);
+            assert_eq!(precomp.admission_horizon(absent), None);
         }
-    }
-
-    #[test]
-    fn insert_delete_sequences_match_the_rebatch_oracle() {
-        let inst = mixed_instance(QualifyMode::Intent);
-        let all: Vec<(BidRef, Bid)> = inst.iter_bids().map(|(r, b)| (r, *b)).collect();
-        let mut state = 0xfeedu64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for trial in 0..20 {
-            let mut precomp = SweepPrecomp::empty(inst.config());
-            let mut pending: Vec<usize> = (0..all.len()).collect();
-            let mut live: Vec<usize> = Vec::new();
-            let mut step = 0;
-            while !pending.is_empty() || !live.is_empty() {
-                let do_insert = live.is_empty() || (!pending.is_empty() && next() % 3 != 0);
-                if do_insert {
-                    let i = pending.remove((next() % pending.len() as u64) as usize);
-                    let (bid_ref, bid) = all[i];
-                    precomp.insert(bid_ref, &bid, inst.round_time(bid_ref));
-                    live.push(i);
-                } else {
-                    let i = live.remove((next() % live.len() as u64) as usize);
-                    assert!(precomp.remove(all[i].0), "live bid must be removable");
-                }
-                assert_equivalent(
-                    &precomp,
-                    &precomp.rebatch(),
-                    &format!("trial {trial} step {step}"),
-                );
-                step += 1;
-            }
-            assert_eq!(precomp.live_bids(), 0);
-        }
-    }
-
-    #[test]
-    fn removed_bid_behaves_as_if_it_never_arrived() {
-        // Removing the *last* bid keeps every other BidRef stable, so the
-        // incremental precomp can be compared against a true batch rebuild
-        // on an instance where that bid was never submitted.
-        let inst = mixed_instance(QualifyMode::Intent);
-        let all: Vec<(BidRef, Bid)> = inst.iter_bids().map(|(r, b)| (r, *b)).collect();
-        let (last_ref, _) = *all.last().unwrap();
-        let mut without = Instance::new(inst.config().clone());
-        for p in inst.clients() {
-            without.add_client(*p);
-        }
-        for (r, b) in &all[..all.len() - 1] {
-            without.add_bid(r.client, *b).unwrap();
-        }
-        let mut precomp = SweepPrecomp::new(&inst);
-        assert!(precomp.contains(last_ref));
-        assert!(precomp.remove(last_ref));
-        assert!(!precomp.contains(last_ref));
-        assert!(!precomp.remove(last_ref), "double remove reports absence");
-        assert_eq!(precomp.admission_horizon(last_ref), None);
-        assert_equivalent(&precomp, &SweepPrecomp::new(&without), "last-bid removal");
-    }
-
-    #[test]
-    #[should_panic(expected = "duplicate insert")]
-    fn duplicate_insert_of_a_live_bid_panics() {
-        let inst = gates_instance(QualifyMode::Intent);
-        let mut precomp = SweepPrecomp::new(&inst);
-        let (bid_ref, bid) = inst.iter_bids().next().map(|(r, b)| (r, *b)).unwrap();
-        precomp.insert(bid_ref, &bid, inst.round_time(bid_ref));
-    }
-
-    #[test]
-    fn empty_streaming_precomp_is_empty_batch() {
-        let cfg = AuctionConfig::paper_default();
-        let streaming = SweepPrecomp::empty(&cfg);
-        assert_eq!(streaming.live_bids(), 0);
-        assert_equivalent(&streaming, &SweepPrecomp::new(&Instance::new(cfg)), "empty");
     }
 
     #[test]

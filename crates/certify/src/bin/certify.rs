@@ -223,7 +223,7 @@ fn known_property(name: &str) -> Option<&'static str> {
         prop::ONLINE_BUDGET,
         prop::ONLINE_IR,
         prop::ONLINE_POSTED_TRUTHFUL,
-        prop::ONLINE_INCREMENTAL_BATCH,
+        prop::ONLINE_ADMISSION_BATCH,
     ]
     .into_iter()
     .find(|&code| code == name)

@@ -151,7 +151,7 @@ pub struct CertInstance {
     /// The online knob: `Some(B)` additionally replays the bids as an
     /// arrival stream through [`fl_auction::OnlineAuction`] under budget
     /// `B` and checks the online properties (budget feasibility, online
-    /// IR, posted-price truthfulness, incremental ≡ batch qualification).
+    /// IR, posted-price truthfulness, online ≡ batch admission).
     /// `B` may be `0` (degenerate: only zero-priced bids can commit) or
     /// `+∞` (disables the budget and price gates). `None` certifies the
     /// batch mechanism only.

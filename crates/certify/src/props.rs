@@ -39,9 +39,9 @@ use std::collections::HashSet;
 
 use fl_auction::truthful::{deviation_outcome, myerson_payment, wins_at, DeviationOutcome};
 use fl_auction::{
-    min_horizon, qualify, run_auction, verify, AWinner, AuctionError, Bid, BidRef, ClientId,
-    ClientProfile, DecisionReason, OnlineAuction, OnlineDecision, Round, Wdp, WdpError,
-    WdpSolution, WdpSolver, Window,
+    admission_horizon, min_horizon, qualify, run_auction, verify, AWinner, AuctionError, Bid,
+    BidRef, ClientId, ClientProfile, DecisionReason, OnlineAuction, OnlineDecision, Round,
+    SweepPrecomp, Wdp, WdpError, WdpSolution, WdpSolver, Window,
 };
 use fl_exact::{BruteForceSolver, ExactSolver, Optimality, ProvingWdpSolver};
 
@@ -110,9 +110,10 @@ pub mod prop {
     /// above the posted offer, or rejected it below (posted-price
     /// truthfulness on the replayed arrival prefix).
     pub const ONLINE_POSTED_TRUTHFUL: &str = "online_posted_truthfulness";
-    /// Online mode: the incremental qualified-set precomp diverged from
-    /// its batch-equivalence oracle ([`fl_auction::SweepPrecomp::rebatch`]).
-    pub const ONLINE_INCREMENTAL_BATCH: &str = "online_incremental_vs_batch";
+    /// Online mode: an arrival's admission horizon or qualification
+    /// verdict diverged from a batch [`fl_auction::SweepPrecomp`] over
+    /// the same streamed instance.
+    pub const ONLINE_ADMISSION_BATCH: &str = "online_admission_vs_batch";
 }
 
 /// One failed property with human-readable context.
@@ -316,11 +317,12 @@ pub fn check(ci: &CertInstance) -> Report {
 ///   above the posted offer must flip the decision to
 ///   `price_above_offer` (the payment is bid-independent, so no
 ///   misreport can profit);
-/// * **Incremental ≡ batch** — the streaming [`fl_auction::SweepPrecomp`]
-///   must agree with its [`rebatch`](fl_auction::SweepPrecomp::rebatch)
-///   oracle on every horizon's qualified set and cost lower bound
-///   (bit-for-bit), proving the insert path equivalent to a fresh batch
-///   build.
+/// * **Online admission ≡ batch admission** — for every arrival, the
+///   pure rule [`fl_auction::admission_horizon`] the online gate applies
+///   must equal the threshold a batch [`fl_auction::SweepPrecomp`] over
+///   the streamed instance computes, the verdict must be `unqualified`
+///   exactly when that threshold is absent or beyond `T`, and a commit
+///   implies admission at a horizon `≤ T`.
 fn check_online(ci: &CertInstance, budget: f64, v: &mut Vec<Violation>, stats: &mut Stats) {
     let full = match stream(ci, budget, ci.bids.len(), None) {
         Ok(run) => run,
@@ -329,7 +331,7 @@ fn check_online(ci: &CertInstance, budget: f64, v: &mut Vec<Violation>, stats: &
             // here means the online driver rejects an input the batch
             // path accepts.
             v.push(Violation {
-                property: prop::ONLINE_INCREMENTAL_BATCH,
+                property: prop::ONLINE_ADMISSION_BATCH,
                 detail: format!("online stream rejected a valid instance: {e}"),
             });
             return;
@@ -362,28 +364,28 @@ fn check_online(ci: &CertInstance, budget: f64, v: &mut Vec<Violation>, stats: &
         }
     }
 
-    // Incremental ≡ batch: the streaming precomp vs its rebatch oracle,
-    // on every horizon's qualified set and cost lower bound.
-    let precomp = full.online.precomp();
-    let oracle = precomp.rebatch();
-    for h in 1..=ci.t {
-        let inc = precomp.qualify_at(h);
-        let bat = oracle.qualify_at(h);
-        if inc.bids() != bat.bids() {
-            v.push(Violation {
-                property: prop::ONLINE_INCREMENTAL_BATCH,
-                detail: format!(
-                    "T̂={h}: incremental qualified set has {} bid(s), rebatch oracle {}",
-                    inc.bids().len(),
-                    bat.bids().len()
-                ),
-            });
+    // Online admission ≡ batch admission, arrival by arrival.
+    let instance = full.online.instance();
+    let batch = SweepPrecomp::new(instance);
+    for (i, d) in full.decisions.iter().enumerate() {
+        if d.duplicate {
+            continue;
         }
-        let (lb_inc, lb_bat) = (precomp.cost_lower_bound(h), oracle.cost_lower_bound(h));
-        if lb_inc.to_bits() != lb_bat.to_bits() {
+        let expected = batch.admission_horizon(d.bid_ref);
+        let bid = instance.bid(d.bid_ref);
+        let online = admission_horizon(bid, instance.round_time(d.bid_ref), instance.config());
+        let admitted = expected.is_some_and(|h| h <= ci.t);
+        if online != expected
+            || (d.reason == DecisionReason::Unqualified) == admitted
+            || (d.committed && !admitted)
+        {
             v.push(Violation {
-                property: prop::ONLINE_INCREMENTAL_BATCH,
-                detail: format!("T̂={h}: incremental lower bound {lb_inc} vs rebatch {lb_bat}"),
+                property: prop::ONLINE_ADMISSION_BATCH,
+                detail: format!(
+                    "arrival {i}: online admission {online:?}, batch {expected:?}, \
+                     verdict {:?} (T = {})",
+                    d.reason, ci.t
+                ),
             });
         }
     }

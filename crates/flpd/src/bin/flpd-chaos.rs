@@ -1,10 +1,10 @@
 //! `flpd-chaos` — certify crash consistency under the fault matrix.
 //!
 //! ```text
-//! flpd-chaos [--smoke] [--seeds N] [--kinds drop,delay,dup,partial,crash]
+//! flpd-chaos [--smoke] [--seeds N] [--kinds drop,delay,dup,partial,crash,jam]
 //! ```
 //!
-//! Default is the full acceptance matrix (5 fault families × 20 seeds).
+//! Default is the full acceptance matrix (6 fault families × 20 seeds).
 //! `--smoke` runs the reduced CI matrix. Exits non-zero if any cell
 //! violates a consistency invariant.
 
@@ -47,7 +47,7 @@ fn main() -> ExitCode {
             "--help" | "-h" => {
                 println!(
                     "usage: flpd-chaos [--smoke] [--seeds N] \
-                     [--kinds drop,delay,dup,partial,crash]"
+                     [--kinds drop,delay,dup,partial,crash,jam]"
                 );
                 return ExitCode::SUCCESS;
             }

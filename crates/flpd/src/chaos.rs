@@ -4,9 +4,10 @@
 //! deterministic script of sessions (profiles, bids, closes), computes
 //! every epoch's reference outcome locally with `fl_auction`, then
 //! drives the script against a real daemon running under the cell's
-//! fault plan. If the daemon dies at its crash point the harness
-//! restarts it from the journal — exactly what a supervisor would do —
-//! and finishes the script. A cell passes only if:
+//! fault plan. If the daemon dies at its crash point, or a jammed append
+//! poisons its journal, the harness restarts it from the journal —
+//! exactly what a supervisor would do — and finishes the script. A cell
+//! passes only if:
 //!
 //! 1. every session ends committed with an outcome **bit-identical** to
 //!    the fault-free reference (serialized-form equality), or explicitly
@@ -16,7 +17,11 @@
 //! 3. the final journal scans clean: zero torn records, and every
 //!    `close_begin` has exactly one `close_commit`;
 //! 4. recovery was bounded: at most one restart (plans inject at most
-//!    one crash) and the per-step retry budget was never exhausted.
+//!    one journal fault) and the per-step retry budget was never
+//!    exhausted;
+//! 5. the live daemon's memory is a replay of its journal: a core
+//!    recovered from the file has the same per-session digests
+//!    ([`crate::session::ServerCore::audit`]).
 
 use std::collections::HashMap;
 use std::net::SocketAddr;
@@ -30,7 +35,7 @@ use rand::{Rng, RngExt, SeedableRng};
 use crate::client::{Client, ClientConfig, ClientError, CloseReply};
 use crate::daemon::{Daemon, DaemonConfig};
 use crate::faults::FaultPlan;
-use crate::journal::{scan_bytes, CrashPoint, Record, RecordKind};
+use crate::journal::{scan_bytes, CrashPoint, JamPoint, Record, RecordKind};
 use crate::session::Limits;
 use crate::testutil::TempDir;
 use crate::wire::{BidParams, OpenParams};
@@ -49,16 +54,19 @@ pub enum FaultKind {
     /// The daemon dies at a record boundary (before or after a whole
     /// record reached disk).
     Crash,
+    /// A journal append fails without killing the daemon, poisoning it.
+    Jam,
 }
 
 impl FaultKind {
-    /// All five families, matrix order.
-    pub const ALL: [FaultKind; 5] = [
+    /// All six families, matrix order.
+    pub const ALL: [FaultKind; 6] = [
         FaultKind::Drop,
         FaultKind::Delay,
         FaultKind::Dup,
         FaultKind::Partial,
         FaultKind::Crash,
+        FaultKind::Jam,
     ];
 
     /// Display name.
@@ -69,6 +77,7 @@ impl FaultKind {
             FaultKind::Dup => "dup",
             FaultKind::Partial => "partial",
             FaultKind::Crash => "crash",
+            FaultKind::Jam => "jam",
         }
     }
 
@@ -90,7 +99,7 @@ pub struct MatrixConfig {
 }
 
 impl MatrixConfig {
-    /// The acceptance matrix: all 5 families × 20 seeds.
+    /// The acceptance matrix: all 6 families × 20 seeds.
     pub fn full() -> MatrixConfig {
         MatrixConfig {
             kinds: FaultKind::ALL.to_vec(),
@@ -120,7 +129,7 @@ pub struct CellOutcome {
     pub pass: bool,
     /// First violation, empty when passing.
     pub detail: String,
-    /// Daemon deaths observed (0 or 1).
+    /// Daemon restarts after a crash or a poisoned journal (0 or 1).
     pub crashes: u32,
     /// Client retry attempts consumed.
     pub retries: u64,
@@ -163,7 +172,7 @@ impl MatrixReport {
         }
         for (kind, pass, total, retries, crashes) in by_kind {
             out.push_str(&format!(
-                "{:<8} {pass}/{total} pass  {crashes} crashes  {retries} retries\n",
+                "{:<8} {pass}/{total} pass  {crashes} restarts  {retries} retries\n",
                 kind.as_str()
             ));
         }
@@ -320,6 +329,22 @@ fn fault_plan(kind: FaultKind, seed: u64) -> FaultPlan {
             crash: crash_target(&mut rng, if seed.is_multiple_of(2) { 0.0 } else { 1.0 }),
             ..FaultPlan::default()
         },
+        FaultKind::Jam => {
+            let kinds = [
+                RecordKind::Client,
+                RecordKind::Bid,
+                RecordKind::CloseBegin,
+                RecordKind::CloseCommit,
+            ];
+            FaultPlan {
+                seed,
+                jam: Some(JamPoint {
+                    kind: kinds[rng.random_range(0..kinds.len())],
+                    nth: rng.random_range(1..=2),
+                }),
+                ..FaultPlan::default()
+            }
+        }
     }
 }
 
@@ -376,7 +401,8 @@ impl Cell {
         })
     }
 
-    /// Restarts the daemon from the journal after an injected death.
+    /// Restarts the daemon from the journal after an injected death or
+    /// a poisoned journal.
     fn restart(&mut self) -> Result<(), String> {
         self.crashes += 1;
         if self.crashes > Self::MAX_RESTARTS {
@@ -396,7 +422,7 @@ impl Cell {
         Ok(())
     }
 
-    /// Runs one client call, restarting through an injected death. A
+    /// Runs one client call, restarting through an injected fault. A
     /// step is attempted at most once per daemon incarnation plus one
     /// final time, which bounds recovery. `rewind` names the session a
     /// mutating op targets: after a restart its seq counter is rewound
@@ -410,7 +436,7 @@ impl Cell {
             match op(&mut self.client) {
                 Ok(v) => return Ok(v),
                 Err(e) => {
-                    if self.daemon.crashed() {
+                    if self.daemon.crashed() || self.daemon.poisoned() {
                         self.restart()?;
                         if let Some(session) = rewind {
                             self.client.rewind_seq(session);
@@ -550,10 +576,15 @@ fn run_cell(kind: FaultKind, seed: u64, sessions: u32) -> CellOutcome {
         }
     }
 
-    // Journal forensics: zero torn records, balanced close markers.
+    // Journal forensics: memory is a replay of the journal, zero torn
+    // records, balanced close markers.
     let retries = cell.retries + cell.client.retries();
     let crashes = cell.crashes;
+    let audit = cell.daemon.audit(dir.path());
     cell.daemon.stop();
+    if let Err(e) = audit {
+        return fail(format!("journal audit: {e}"), crashes, retries);
+    }
     let bytes = match std::fs::read(&journal) {
         Ok(b) => b,
         Err(e) => return fail(format!("read journal: {e}"), crashes, retries),
@@ -627,6 +658,9 @@ mod tests {
         let crash = fault_plan(FaultKind::Crash, 1);
         let cp = crash.crash.unwrap();
         assert!(cp.cut == 0.0 || cp.cut == 1.0, "crash is boundary-clean");
+        let jam = fault_plan(FaultKind::Jam, 1);
+        assert!(jam.crash.is_none() && !jam.has_wire_faults());
+        assert!((1..=2).contains(&jam.jam.unwrap().nth));
     }
 
     #[test]

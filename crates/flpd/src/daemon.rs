@@ -11,14 +11,15 @@
 //!
 //! An injected crash (see [`crate::journal::CrashPoint`]) makes the
 //! whole daemon behave like a killed process: every connection drops
-//! without a response and the acceptor exits. [`Daemon::crashed`] lets a
-//! supervisor (the chaos harness) observe the death and restart from the
-//! journal.
+//! without a response and the acceptor exits. [`Daemon::crashed`] (and
+//! [`Daemon::poisoned`], for a journal that failed without killing the
+//! process) lets a supervisor — the chaos harness — observe the fault and
+//! restart from the journal.
 
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -84,7 +85,6 @@ pub struct Daemon {
     core: Arc<ServerCore>,
     shutdown: Arc<AtomicBool>,
     accept: Option<std::thread::JoinHandle<()>>,
-    shed: Arc<AtomicU64>,
     recovery: RecoveryReport,
 }
 
@@ -113,23 +113,20 @@ impl Daemon {
             dump_flight(&core, cfg.dump_dir.as_deref(), "recovery", addr.port());
         }
         let shutdown = Arc::new(AtomicBool::new(false));
-        let shed = Arc::new(AtomicU64::new(0));
 
         let accept = {
             let core = Arc::clone(&core);
             let shutdown = Arc::clone(&shutdown);
-            let shed = Arc::clone(&shed);
             let cfg = cfg.clone();
             std::thread::Builder::new()
                 .name("flpd-accept".into())
-                .spawn(move || accept_loop(listener, addr, core, shutdown, shed, cfg))?
+                .spawn(move || accept_loop(listener, addr, core, shutdown, cfg))?
         };
         Ok(Daemon {
             addr,
             core,
             shutdown,
             accept: Some(accept),
-            shed,
             recovery,
         })
     }
@@ -146,12 +143,27 @@ impl Daemon {
 
     /// Connections shed at the accept gate so far.
     pub fn shed_count(&self) -> u64 {
-        self.shed.load(Ordering::Relaxed)
+        self.core.shed_count()
     }
 
     /// Whether an injected crash has killed the daemon.
     pub fn crashed(&self) -> bool {
         self.core.crashed()
+    }
+
+    /// Whether a failed journal append has poisoned the daemon: it still
+    /// serves reads but refuses every mutation until restarted.
+    pub fn poisoned(&self) -> bool {
+        self.core.poisoned()
+    }
+
+    /// [`ServerCore::audit`] of the daemon's core.
+    ///
+    /// # Errors
+    ///
+    /// As for [`ServerCore::audit`].
+    pub fn audit(&self, scratch: &Path) -> Result<(), String> {
+        self.core.audit(scratch)
     }
 
     /// Whether shutdown has begun (crash or a client `shutdown` request).
@@ -187,7 +199,6 @@ fn accept_loop(
     addr: SocketAddr,
     core: Arc<ServerCore>,
     shutdown: Arc<AtomicBool>,
-    shed: Arc<AtomicU64>,
     cfg: DaemonConfig,
 ) {
     let live = Arc::new(AtomicUsize::new(0));
@@ -205,7 +216,6 @@ fn accept_loop(
         }
         conn_no += 1;
         if live.load(Ordering::SeqCst) >= cfg.max_conns {
-            shed.fetch_add(1, Ordering::Relaxed);
             core.note_shed();
             if core.shed_count() == SHED_STORM_THRESHOLD {
                 dump_flight(&core, cfg.dump_dir.as_deref(), "shed-storm", addr.port());
@@ -232,7 +242,6 @@ fn accept_loop(
             // Could not spawn: count it as shed; `live` was already
             // incremented, undo it.
             live.fetch_sub(1, Ordering::SeqCst);
-            shed.fetch_add(1, Ordering::Relaxed);
             core.note_shed();
         }
     }

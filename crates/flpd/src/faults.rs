@@ -1,9 +1,10 @@
 //! Deterministic fault injection.
 //!
 //! A [`FaultPlan`] describes how the daemon should misbehave: drop,
-//! delay or duplicate response frames on the wire, and/or die at a
-//! chosen journal append with a partially-written record ([`CrashPoint`]
-//! from the journal layer). Wire faults draw from a seeded RNG per
+//! delay or duplicate response frames on the wire, die at a chosen
+//! journal append with a partially-written record ([`CrashPoint`] from
+//! the journal layer), and/or fail one append without dying
+//! ([`JamPoint`]). Wire faults draw from a seeded RNG per
 //! connection, so a `(plan, connection order)` pair replays the same
 //! fault sequence — the chaos matrix depends on this to be debuggable.
 //!
@@ -24,7 +25,8 @@
 //!   having physically written `cut in [0, 1]` of it (default 0.5);
 //! * `jam=<kind>:<nth>` — fail (without dying) the `nth` journal append
 //!   of `kind` with a plain I/O error, exercising the `internal` error
-//!   path: the record is not written and the journal poisons.
+//!   path: the record is not written and the journal poisons, so every
+//!   later mutation answers `internal` until the daemon restarts.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -57,10 +59,13 @@ impl FaultPlan {
         self.drop_resp > 0.0 || self.dup_resp > 0.0 || self.delay.is_some()
     }
 
-    /// The plan with the crash point removed — what a restarted daemon
-    /// runs under (the "process" already died once).
+    /// The plan with the journal fault points (crash and jam) removed —
+    /// what a restarted daemon runs under. The fault already fired once,
+    /// and append counts restart from zero, so keeping it would fire it
+    /// again at the same point of the next incarnation.
     pub fn after_crash(mut self) -> FaultPlan {
         self.crash = None;
+        self.jam = None;
         self
     }
 
@@ -276,5 +281,12 @@ mod tests {
         let restarted = plan.after_crash();
         assert_eq!(restarted.crash, None);
         assert!((restarted.drop_resp - 0.2).abs() < 1e-12);
+        // A jam is a journal fault point too: a restarted daemon counts
+        // appends from zero and must not jam again at the same point.
+        let jammed = FaultPlan::parse("seed=3,dup=0.1,jam=close_commit:2").unwrap();
+        let restarted = jammed.after_crash();
+        assert_eq!(restarted.jam, None);
+        assert_eq!(restarted.seed, 3);
+        assert!((restarted.dup_resp - 0.1).abs() < 1e-12);
     }
 }

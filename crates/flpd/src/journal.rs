@@ -10,16 +10,24 @@
 //! Record stream grammar (per session):
 //!
 //! ```text
-//! batch:     open → client* → bid* → close_begin → close_commit
-//! streaming: open(budget) → client* → decision* → close_begin → close_commit
+//! batch:     open → (client | bid)* → close_begin → close_commit
+//! streaming: open(budget) → (client | decision)* → close_begin → close_commit
 //! ```
+//!
+//! Every record but `open` and `close_commit` carries the `seq` of the
+//! request it acknowledges, and every fresh seq writes exactly one
+//! record: an identical bid resubmitted under a new seq is journaled
+//! again and applies as a duplicate (a `bid` record whose fingerprint
+//! was already seen, or a `decision` with `duplicate: true`). The daemon
+//! appends a record *before* applying it, and recovery replays the file
+//! through the same apply, so memory is always a replay of the journal.
 //!
 //! A streaming session (opened with a budget) journals one `decision`
 //! record per arriving bid *including the irrevocable commit/reject
-//! verdict and payment*: recovery re-drives the same deterministic
-//! online rule over the journaled arrivals and asserts the re-derived
-//! verdicts match the journaled ones bit-for-bit, so a replayed daemon
-//! can never silently re-decide an already-acknowledged arrival.
+//! verdict and payment*: applying the record re-derives the verdict with
+//! the same deterministic online rule and refuses one that differs by a
+//! bit, so a replayed daemon can never silently re-decide an
+//! already-acknowledged arrival.
 //!
 //! `close_begin` is the intent marker: a journal that ends after a
 //! `close_begin` with no matching `close_commit` means the daemon died
@@ -278,17 +286,8 @@ impl Record {
                 a,
                 d,
                 c,
-            } => {
-                members.push(("session".into(), json::string(session)));
-                members.push(("seq".into(), seq.to_string()));
-                members.push(("client".into(), client.to_string()));
-                members.push(("price".into(), json::number(*price)));
-                members.push(("theta".into(), json::number(*theta)));
-                members.push(("a".into(), a.to_string()));
-                members.push(("d".into(), d.to_string()));
-                members.push(("c".into(), c.to_string()));
             }
-            Record::Decision {
+            | Record::Decision {
                 session,
                 seq,
                 client,
@@ -297,10 +296,7 @@ impl Record {
                 a,
                 d,
                 c,
-                committed,
-                payment,
-                reason,
-                duplicate,
+                ..
             } => {
                 members.push(("session".into(), json::string(session)));
                 members.push(("seq".into(), seq.to_string()));
@@ -310,10 +306,19 @@ impl Record {
                 members.push(("a".into(), a.to_string()));
                 members.push(("d".into(), d.to_string()));
                 members.push(("c".into(), c.to_string()));
-                members.push(("committed".into(), committed.to_string()));
-                members.push(("payment".into(), json::number(*payment)));
-                members.push(("reason".into(), json::string(reason)));
-                members.push(("duplicate".into(), duplicate.to_string()));
+                if let Record::Decision {
+                    committed,
+                    payment,
+                    reason,
+                    duplicate,
+                    ..
+                } = self
+                {
+                    members.push(("committed".into(), committed.to_string()));
+                    members.push(("payment".into(), json::number(*payment)));
+                    members.push(("reason".into(), json::string(reason)));
+                    members.push(("duplicate".into(), duplicate.to_string()));
+                }
             }
             Record::CloseBegin { session, seq } => {
                 members.push(("session".into(), json::string(session)));
@@ -666,29 +671,6 @@ impl Journal {
                 w.get_ref().sync_data()?;
             }
             Ok(())
-        })();
-        if result.is_err() {
-            self.poison();
-        }
-        result
-    }
-
-    /// Flushes and fsyncs everything buffered.
-    ///
-    /// # Errors
-    ///
-    /// Propagates (and poisons on) I/O failure.
-    pub fn sync(&mut self) -> io::Result<()> {
-        if self.poisoned {
-            return Err(io::Error::other("journal is poisoned"));
-        }
-        let result = (|| {
-            let w = self
-                .writer
-                .as_mut()
-                .ok_or_else(|| io::Error::other("journal closed"))?;
-            w.flush()?;
-            w.get_ref().sync_data()
         })();
         if result.is_err() {
             self.poison();

@@ -12,9 +12,9 @@
 //! `kill -9` at *any* instant recovers to a state where each epoch is
 //! either bit-identical to the fault-free outcome or explicitly marked
 //! aborted — never torn, never silently different. The [`faults`] seam
-//! injects drops, delays, duplicates and partial-write crash points to
-//! let the [`chaos`] harness certify exactly that, across a matrix of
-//! fault types and seeds.
+//! injects drops, delays, duplicates, partial-write crash points and
+//! failed appends to let the [`chaos`] harness certify exactly that,
+//! across a matrix of fault types and seeds.
 //!
 //! Module map:
 //!

@@ -2,18 +2,32 @@
 //! daemon and journal recovery.
 //!
 //! A session walks `Collecting → Closing → Closed(committed | aborted)`.
-//! Mutations (client, bid, close) are idempotent per session via the
-//! client-chosen `seq`: the handler journals the mutation, fsyncs, then
-//! remembers `(seq, response)` so a retry whose ack was lost replays the
-//! stored response instead of double-applying. Recovery rebuilds exactly
-//! this state from the journal — including the stored responses, which
-//! are regenerated by the same response builders the live path uses.
+//! Every mutation (open, client, bid, submit, close) takes the same five
+//! steps: *validate* without side effects → build the journal [`Record`]
+//! → append it (fsynced under [`Durability::Strict`]) → *apply* the
+//! record → reply. Recovery replays the journal through that same apply,
+//! so the daemon's memory is a replay of its journal by construction,
+//! and every acknowledgement names a journaled mutation.
+//!
+//! Mutations are idempotent per session via the client-chosen `seq`:
+//! applying a record remembers `(seq, response)`, so a retry whose ack
+//! was lost replays the stored response instead of double-applying — in
+//! this process or in a recovered one. Every fresh seq journals exactly
+//! one record: an identical bid resubmitted under a new seq is journaled
+//! too, and applies as a duplicate.
+//!
+//! A failed append (ENOSPC, EIO, an injected `jam`) *poisons* the
+//! journal. From then on every mutation answers `internal`, exact-seq
+//! replays of already-journaled acks still replay, reads keep working,
+//! and `health` reports `"poisoned"`: restart the daemon to recover.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
+use fl_auction::online::{bid_key, BidKey};
 use fl_auction::{
     run_auction, serial, AuctionError, AuctionOutcome, Bid, ClientId, ClientProfile, Instance,
     OnlineAuction, OnlineDecision, Round, Window,
@@ -47,61 +61,65 @@ impl Default for Limits {
 #[derive(Debug)]
 enum SessionState {
     Collecting,
-    Closing,
+    /// `close_begin` is journaled under this seq; the commit is pending.
+    Closing(u64),
     Closed(CloseResult),
 }
 
-/// Fingerprint of a bid submission (floats bit-for-bit), used to make
-/// re-submitted identical bids idempotent in both collection modes.
-type BidFp = (u32, u64, u64, u32, u32, u32);
-
-fn bid_fingerprint(b: &BidParams) -> BidFp {
-    (
-        b.client,
-        b.price.to_bits(),
-        b.theta.to_bits(),
-        b.a,
-        b.d,
-        b.c,
-    )
+/// How a session collects bids.
+#[derive(Debug)]
+enum Mode {
+    /// Sealed bids: the instance grows per bid and close solves `A_FL`.
+    Batch {
+        instance: Instance,
+        /// Duplicate ledger: fingerprint → bid index of the first
+        /// submission.
+        seen_bids: HashMap<BidKey, u32>,
+    },
+    /// Opened with a budget: the online driver owns the arrivals and
+    /// decides each one irrevocably (and dedups them itself); close
+    /// commits the decided set.
+    Streaming(OnlineAuction),
 }
 
 #[derive(Debug)]
 struct Session {
-    instance: Instance,
-    /// `Some` for streaming sessions (opened with a budget): the online
-    /// driver owns the arrival state and takes the irrevocable per-bid
-    /// decisions.
-    online: Option<OnlineAuction>,
-    /// Batch-mode duplicate ledger: fingerprint → bid index of the first
-    /// submission (the streaming driver keeps its own).
-    seen_bids: HashMap<BidFp, u32>,
+    mode: Mode,
     state: SessionState,
     last_seq: u64,
     last_resp: Option<String>,
-    /// Set during replay for a `close_begin` with no commit yet.
-    pending_close_seq: Option<u64>,
 }
 
 impl Session {
     fn create(params: &OpenParams) -> Result<Session, ServiceError> {
         let config = params.to_config()?;
-        let online = match params.budget {
-            Some(budget) => Some(
-                OnlineAuction::new(config.clone(), budget)
-                    .map_err(|e| ServiceError::new(ErrCode::BadRequest, e.to_string()))?,
-            ),
-            None => None,
+        let mode = match params.budget {
+            Some(budget) => {
+                Mode::Streaming(OnlineAuction::new(config, budget).map_err(bad_request)?)
+            }
+            None => Mode::Batch {
+                instance: Instance::new(config),
+                seen_bids: HashMap::new(),
+            },
         };
         Ok(Session {
-            instance: Instance::new(config),
-            online,
-            seen_bids: HashMap::new(),
+            mode,
             state: SessionState::Collecting,
             last_seq: 0,
             last_resp: None,
-            pending_close_seq: None,
         })
+    }
+
+    /// Everything the journal determines about the session, as text.
+    fn digest(&self) -> String {
+        let mode = match &self.mode {
+            Mode::Batch { instance, .. } => format!("{instance:?}"),
+            Mode::Streaming(online) => format!("{:?} {:?}", online.instance(), online.outcome()),
+        };
+        format!(
+            "{:?} last_seq={} last_resp={:?} {mode}",
+            self.state, self.last_seq, self.last_resp
+        )
     }
 }
 
@@ -114,18 +132,18 @@ enum CloseWork {
 
 impl CloseWork {
     fn of(s: &Session) -> CloseWork {
-        match &s.online {
+        match &s.mode {
             // A streaming close never solves: every decision was taken
             // (and journaled) on arrival, so the outcome is just the
             // accumulated committed set.
-            Some(online) => {
+            Mode::Streaming(online) => {
                 let out = online.outcome();
                 CloseWork::Streaming(CloseResult::Committed(AuctionOutcome::from_parts(
                     out.horizon(),
                     out.solution(),
                 )))
             }
-            None => CloseWork::Batch(s.instance.clone()),
+            Mode::Batch { instance, .. } => CloseWork::Batch(instance.clone()),
         }
     }
 
@@ -137,12 +155,148 @@ impl CloseWork {
     }
 }
 
+const BID_ON_STREAMING: &str = "streaming session accepts \"submit\", not \"bid\"";
+const SUBMIT_ON_BATCH: &str = "batch session accepts \"bid\", not \"submit\"";
+
 #[derive(Default)]
 struct Inner {
     sessions: HashMap<String, Session>,
     nonces: HashMap<u64, String>,
     next_id: u64,
     closed: u64,
+}
+
+impl Inner {
+    /// Applies one journaled record: the only way session state changes,
+    /// live or in recovery. Returns the reply the record acknowledges
+    /// (`None` for the `close_begin` intent marker). An `Err` means the
+    /// record contradicts the session — a corrupt journal — and nothing
+    /// changed.
+    fn apply(&mut self, rec: &Record) -> Result<Option<String>, ServiceError> {
+        if let Record::Open { session, params } = rec {
+            if self.sessions.contains_key(session) {
+                return Err(conflict(&format!("session {session:?} opened twice")));
+            }
+            let created = Session::create(params)?;
+            let numeric = session
+                .strip_prefix("s-")
+                .and_then(|n| n.parse().ok())
+                .unwrap_or(0);
+            self.next_id = self.next_id.max(numeric);
+            self.nonces.insert(params.nonce, session.clone());
+            self.sessions.insert(session.clone(), created);
+            return Ok(Some(open_resp(session)));
+        }
+        let s = self
+            .sessions
+            .get_mut(rec.session())
+            .ok_or_else(|| unknown_session(rec.session()))?;
+        let seq = match (rec, &s.state) {
+            (Record::CloseCommit { .. }, SessionState::Closing(seq)) => *seq,
+            (
+                Record::Client { seq, .. }
+                | Record::Bid { seq, .. }
+                | Record::Decision { seq, .. }
+                | Record::CloseBegin { seq, .. },
+                SessionState::Collecting,
+            ) if *seq > s.last_seq => *seq,
+            _ => {
+                return Err(conflict(&format!(
+                    "{} record does not follow the session's state",
+                    rec.kind().as_str()
+                )))
+            }
+        };
+        let resp = match rec {
+            Record::Open { .. } => unreachable!("handled above"),
+            Record::Client { t_cmp, t_com, .. } => {
+                let profile = ClientProfile::new(*t_cmp, *t_com).map_err(bad_request)?;
+                let id = match &mut s.mode {
+                    Mode::Batch { instance, .. } => instance.add_client(profile),
+                    Mode::Streaming(online) => online.register_client(profile),
+                };
+                client_resp(id.0)
+            }
+            Record::Bid {
+                client,
+                price,
+                theta,
+                a,
+                d,
+                c,
+                ..
+            } => {
+                let Mode::Batch {
+                    instance,
+                    seen_bids,
+                } = &mut s.mode
+                else {
+                    return Err(conflict(BID_ON_STREAMING));
+                };
+                let bid = to_bid(*price, *theta, *a, *d, *c)?;
+                let fp = bid_key(ClientId(*client), &bid);
+                match seen_bids.get(&fp) {
+                    Some(&idx) => bid_resp(idx, true),
+                    None => {
+                        let idx = instance
+                            .add_bid(ClientId(*client), bid)
+                            .map_err(bad_request)?
+                            .bid;
+                        seen_bids.insert(fp, idx);
+                        bid_resp(idx, false)
+                    }
+                }
+            }
+            Record::Decision {
+                client,
+                price,
+                theta,
+                a,
+                d,
+                c,
+                committed,
+                payment,
+                reason,
+                duplicate,
+                ..
+            } => {
+                let Mode::Streaming(online) = &mut s.mode else {
+                    return Err(conflict(SUBMIT_ON_BATCH));
+                };
+                let bid = to_bid(*price, *theta, *a, *d, *c)?;
+                let client = ClientId(*client);
+                let decision = online.decide(client, &bid).map_err(bad_request)?;
+                // The verdict is a pure function of the journaled
+                // arrivals: one that differs by a single bit means the
+                // journal and the mechanism disagree, which must surface,
+                // never be papered over.
+                if decision.committed != *committed
+                    || decision.payment.to_bits() != payment.to_bits()
+                    || decision.reason.as_str() != reason
+                    || decision.duplicate != *duplicate
+                {
+                    return Err(ServiceError::new(
+                        ErrCode::Internal,
+                        "re-derived verdict differs from the journaled one",
+                    ));
+                }
+                online.commit(client, bid, &decision);
+                submit_resp(&decision)
+            }
+            Record::CloseBegin { seq, .. } => {
+                s.state = SessionState::Closing(*seq);
+                return Ok(None);
+            }
+            Record::CloseCommit { result, .. } => {
+                s.state = SessionState::Closed(result.clone());
+                self.closed += 1;
+                close_resp(result)
+            }
+        };
+        s.last_seq = seq;
+        s.last_resp = Some(resp.clone());
+        Ok(Some(resp))
+    }
 }
 
 /// What recovery found and did.
@@ -158,6 +312,18 @@ pub struct RecoveryReport {
     pub anomalies: usize,
     /// Torn-tail bytes truncated from the journal file.
     pub truncated_bytes: u64,
+}
+
+/// Everything the journal determines about a core's sessions, for
+/// checking that memory equals a replay of the journal
+/// ([`ServerCore::audit`]).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Digest {
+    /// Epochs closed (committed or aborted).
+    pub closed: u64,
+    /// Per session: its state (with any outcome), `last_seq`,
+    /// `last_resp`, and its instance or online outcome, as text.
+    pub sessions: BTreeMap<String, String>,
 }
 
 /// How the connection layer must react to a handled request.
@@ -195,6 +361,8 @@ pub struct ServerCore {
     limits: Limits,
     inflight_close: AtomicUsize,
     crashed: AtomicBool,
+    /// Set when an append fails without killing the process.
+    poisoned: AtomicBool,
     live: Arc<LiveMetrics>,
     flight: Arc<FlightRecorder>,
     /// Source of server-assigned `srv-<n>` trace ids.
@@ -228,6 +396,7 @@ impl ServerCore {
             limits,
             inflight_close: AtomicUsize::new(0),
             crashed: AtomicBool::new(false),
+            poisoned: AtomicBool::new(false),
             live: Arc::new(LiveMetrics::new()),
             flight: Arc::new(FlightRecorder::new()),
             next_trace: AtomicU64::new(1),
@@ -272,6 +441,12 @@ impl ServerCore {
     /// Whether an injected crash has killed this core.
     pub fn crashed(&self) -> bool {
         self.crashed.load(Ordering::SeqCst)
+    }
+
+    /// Whether a failed journal append has poisoned this core (see the
+    /// [module docs](self)).
+    pub fn poisoned(&self) -> bool {
+        self.poisoned.load(Ordering::SeqCst)
     }
 
     /// The core's live metrics aggregator (shared with the daemon layer,
@@ -413,7 +588,7 @@ impl ServerCore {
             for s in inner.sessions.values() {
                 let slot = match &s.state {
                     SessionState::Collecting => 0,
-                    SessionState::Closing => 1,
+                    SessionState::Closing(_) => 1,
                     SessionState::Closed(CloseResult::Committed(_)) => 2,
                     SessionState::Closed(CloseResult::Aborted(_)) => 3,
                 };
@@ -447,19 +622,21 @@ impl ServerCore {
         ])
     }
 
-    /// The `health` response: liveness and overload state without
-    /// merging metrics — cheap enough for tight poll loops.
+    /// The `health` response: liveness, poisoned and overload state
+    /// without merging metrics — cheap enough for tight poll loops.
     fn health_resp(&self) -> String {
         let sessions = lock(&self.inner).sessions.len();
         let inflight = self.inflight_close.load(Ordering::SeqCst);
         let overloaded = sessions >= self.limits.max_sessions
             || (self.limits.max_inflight_close > 0 && inflight >= self.limits.max_inflight_close);
+        let status = match (self.poisoned(), overloaded) {
+            (true, _) => "poisoned",
+            (false, true) => "overloaded",
+            (false, false) => "ok",
+        };
         json::object(&[
             ("ok".into(), "true".into()),
-            (
-                "status".into(),
-                json::string(if overloaded { "overloaded" } else { "ok" }),
-            ),
+            ("status".into(), json::string(status)),
             ("sessions".into(), sessions.to_string()),
             ("inflight_close".into(), inflight.to_string()),
             ("shed".into(), self.shed_count().to_string()),
@@ -471,11 +648,12 @@ impl ServerCore {
     }
 
     fn handle_open(&self, params: &OpenParams, trace: &str) -> Result<String, Failure> {
-        let session = Session::create(params)?;
+        Session::create(params)?; // validation: apply builds the session
         let mut inner = lock(&self.inner);
         if let Some(existing) = inner.nonces.get(&params.nonce) {
             return Ok(open_resp(existing));
         }
+        self.writable()?;
         if inner.sessions.len() >= self.limits.max_sessions {
             return Err(ServiceError::new(
                 ErrCode::Overloaded,
@@ -483,18 +661,11 @@ impl ServerCore {
             )
             .into());
         }
-        inner.next_id += 1;
-        let id = format!("s-{}", inner.next_id);
-        self.journal_append(
-            &Record::Open {
-                session: id.clone(),
-                params: params.clone(),
-            },
-            trace,
-        )?;
-        inner.nonces.insert(params.nonce, id.clone());
-        inner.sessions.insert(id.clone(), session);
-        Ok(open_resp(&id))
+        let rec = Record::Open {
+            session: format!("s-{}", inner.next_id + 1),
+            params: params.clone(),
+        };
+        self.commit(&mut inner, &rec, trace)
     }
 
     fn handle_client(
@@ -505,25 +676,15 @@ impl ServerCore {
         t_com: f64,
         trace: &str,
     ) -> Result<String, Failure> {
-        let mut inner = lock(&self.inner);
-        let s = mutable_session(&mut inner, session, seq)?;
-        if let Some(replay) = seq_gate(s, seq)? {
-            return Ok(replay);
-        }
-        let idx = apply_client(s, t_cmp, t_com)?;
-        self.journal_append(
-            &Record::Client {
+        self.mutate(session, seq, trace, |_| {
+            ClientProfile::new(t_cmp, t_com).map_err(bad_request)?;
+            Ok(Record::Client {
                 session: session.into(),
                 seq,
                 t_cmp,
                 t_com,
-            },
-            trace,
-        )?;
-        let resp = client_resp(idx);
-        s.last_seq = seq;
-        s.last_resp = Some(resp.clone());
-        Ok(resp)
+            })
+        })
     }
 
     fn handle_bid(
@@ -533,36 +694,32 @@ impl ServerCore {
         bid: &BidParams,
         trace: &str,
     ) -> Result<String, Failure> {
-        let mut inner = lock(&self.inner);
-        let s = mutable_session(&mut inner, session, seq)?;
-        if let Some(replay) = seq_gate(s, seq)? {
-            return Ok(replay);
-        }
-        let (idx, duplicate) = apply_bid(s, bid)?;
-        if !duplicate {
-            // Duplicates change no state, so there is nothing to make
-            // durable: a post-crash retry takes this same path and gets
-            // the same answer.
-            self.journal_append(
-                &Record::Bid {
-                    session: session.into(),
-                    seq,
-                    client: bid.client,
-                    price: bid.price,
-                    theta: bid.theta,
-                    a: bid.a,
-                    d: bid.d,
-                    c: bid.c,
-                },
-                trace,
-            )?;
-        } else {
-            self.live.counter("service.bid.duplicate", 1);
-        }
-        let resp = bid_resp(idx, duplicate);
-        s.last_seq = seq;
-        s.last_resp = Some(resp.clone());
-        Ok(resp)
+        self.mutate(session, seq, trace, |s| {
+            let Mode::Batch {
+                instance,
+                seen_bids,
+            } = &s.mode
+            else {
+                return Err(conflict(BID_ON_STREAMING));
+            };
+            let parsed = to_bid(bid.price, bid.theta, bid.a, bid.d, bid.c)?;
+            if bid.client as usize >= instance.num_clients() {
+                return Err(bad_request(format!("unknown client {}", bid.client)));
+            }
+            if seen_bids.contains_key(&bid_key(ClientId(bid.client), &parsed)) {
+                self.live.counter("service.bid.duplicate", 1);
+            }
+            Ok(Record::Bid {
+                session: session.into(),
+                seq,
+                client: bid.client,
+                price: bid.price,
+                theta: bid.theta,
+                a: bid.a,
+                d: bid.d,
+                c: bid.c,
+            })
+        })
     }
 
     fn handle_submit(
@@ -572,17 +729,20 @@ impl ServerCore {
         bid: &BidParams,
         trace: &str,
     ) -> Result<String, Failure> {
-        let mut inner = lock(&self.inner);
-        let s = mutable_session(&mut inner, session, seq)?;
-        if let Some(replay) = seq_gate(s, seq)? {
-            return Ok(replay);
-        }
-        let decision = apply_submit(s, bid)?;
-        // The verdict is journaled *with* the arrival: recovery re-drives
-        // the same deterministic rule and refuses the journal if the
-        // re-derived decision differs by a single bit.
-        self.journal_append(
-            &Record::Decision {
+        self.mutate(session, seq, trace, |s| {
+            let Mode::Streaming(online) = &s.mode else {
+                return Err(conflict(SUBMIT_ON_BATCH));
+            };
+            let parsed = to_bid(bid.price, bid.theta, bid.a, bid.d, bid.c)?;
+            let decision = online
+                .decide(ClientId(bid.client), &parsed)
+                .map_err(bad_request)?;
+            if decision.duplicate {
+                self.live.counter("service.bid.duplicate", 1);
+            }
+            // The verdict is journaled *with* the arrival: applying the
+            // record re-derives it and refuses one that differs by a bit.
+            Ok(Record::Decision {
                 session: session.into(),
                 seq,
                 client: bid.client,
@@ -595,41 +755,16 @@ impl ServerCore {
                 payment: decision.payment,
                 reason: decision.reason.as_str().into(),
                 duplicate: decision.duplicate,
-            },
-            trace,
-        )?;
-        if decision.duplicate {
-            self.live.counter("service.bid.duplicate", 1);
-        }
-        let resp = submit_resp(&decision);
-        s.last_seq = seq;
-        s.last_resp = Some(resp.clone());
-        Ok(resp)
+            })
+        })
     }
 
     fn handle_close(&self, session: &str, seq: u64, trace: &str) -> Result<String, Failure> {
         // Phase 1: gate, reserve a close slot, journal the intent.
         let work = {
             let mut inner = lock(&self.inner);
-            let s = known_session(&mut inner, session)?;
-            // Exact-seq retry of an already-applied close replays the
-            // stored decision whatever the state.
-            if seq == s.last_seq {
-                if let Some(replay) = s.last_resp.clone() {
-                    return Ok(replay);
-                }
-            }
-            match &s.state {
-                SessionState::Closed(_) => return Err(conflict("session already closed").into()),
-                SessionState::Closing => {
-                    return Err(
-                        ServiceError::new(ErrCode::Backlog, "close already in progress").into(),
-                    )
-                }
-                SessionState::Collecting => {}
-            }
-            if let Some(replay) = seq_gate(s, seq)? {
-                return Ok(replay);
+            if let Some(resp) = self.admit(&inner, session, seq, ErrCode::Backlog)? {
+                return Ok(resp);
             }
             if !self.try_reserve_close_slot() {
                 return Err(ServiceError::new(
@@ -638,18 +773,15 @@ impl ServerCore {
                 )
                 .into());
             }
-            if let Err(e) = self.journal_append(
-                &Record::CloseBegin {
-                    session: session.into(),
-                    seq,
-                },
-                trace,
-            ) {
+            let begin = Record::CloseBegin {
+                session: session.into(),
+                seq,
+            };
+            if let Err(e) = self.commit(&mut inner, &begin, trace) {
                 self.release_close_slot();
                 return Err(e);
             }
-            s.state = SessionState::Closing;
-            CloseWork::of(s)
+            CloseWork::of(&inner.sessions[session])
         };
 
         // Phase 2: solve outside every lock — closes of other sessions
@@ -658,32 +790,17 @@ impl ServerCore {
         let result = work.resolve();
 
         // Phase 3: commit the decision.
-        let commit = self.journal_append(
-            &Record::CloseCommit {
-                session: session.into(),
-                result: result.clone(),
-            },
-            trace,
-        );
+        let resp = self.commit_close(session, result, trace);
         self.release_close_slot();
-        commit?;
-        let mut inner = lock(&self.inner);
-        let resp = close_resp(&result);
-        if let Some(s) = inner.sessions.get_mut(session) {
-            s.state = SessionState::Closed(result);
-            s.last_seq = seq;
-            s.last_resp = Some(resp.clone());
-        }
-        inner.closed += 1;
-        Ok(resp)
+        resp
     }
 
     fn handle_outcome(&self, session: &str) -> Result<String, Failure> {
-        let mut inner = lock(&self.inner);
-        let s = known_session(&mut inner, session)?;
+        let inner = lock(&self.inner);
+        let s = known_session(&inner, session)?;
         match &s.state {
             SessionState::Closed(result) => Ok(close_resp(result)),
-            SessionState::Closing => {
+            SessionState::Closing(_) => {
                 Err(ServiceError::new(ErrCode::Backlog, "close in progress").into())
             }
             SessionState::Collecting => Err(conflict("session not closed").into()),
@@ -691,8 +808,8 @@ impl ServerCore {
     }
 
     fn handle_payment(&self, session: &str, client: u32) -> Result<String, Failure> {
-        let mut inner = lock(&self.inner);
-        let s = known_session(&mut inner, session)?;
+        let inner = lock(&self.inner);
+        let s = known_session(&inner, session)?;
         match &s.state {
             SessionState::Closed(CloseResult::Committed(outcome)) => {
                 let mut entries = Vec::new();
@@ -719,7 +836,7 @@ impl ServerCore {
                 ("status".into(), json::string("aborted")),
                 ("reason".into(), json::string(reason)),
             ])),
-            SessionState::Closing => {
+            SessionState::Closing(_) => {
                 Err(ServiceError::new(ErrCode::Backlog, "close in progress").into())
             }
             SessionState::Collecting => Err(conflict("session not closed").into()),
@@ -738,6 +855,89 @@ impl ServerCore {
         self.inflight_close.fetch_sub(1, Ordering::SeqCst);
     }
 
+    /// Rejects every mutation once an append has failed: the journal is
+    /// poisoned and only a restart (recovery from the file) can tell
+    /// which records reached the disk.
+    fn writable(&self) -> Result<(), ServiceError> {
+        if self.poisoned() {
+            return Err(ServiceError::new(
+                ErrCode::Internal,
+                "journal is poisoned; restart the daemon to recover",
+            ));
+        }
+        Ok(())
+    }
+
+    /// The gate in front of every session mutation, in order: an
+    /// exact-seq retry of a journaled ack replays it (`Some`, whatever
+    /// the state, poisoned or not); a poisoned journal refuses; a closing
+    /// session answers `closing` (`backlog` for a close, whose retry will
+    /// replay the commit); a closed session or a stale seq is a conflict.
+    fn admit(
+        &self,
+        inner: &Inner,
+        session: &str,
+        seq: u64,
+        closing: ErrCode,
+    ) -> Result<Option<String>, ServiceError> {
+        let s = known_session(inner, session)?;
+        if seq == s.last_seq && s.last_resp.is_some() {
+            return Ok(s.last_resp.clone());
+        }
+        self.writable()?;
+        match &s.state {
+            SessionState::Collecting if seq > s.last_seq => Ok(None),
+            SessionState::Collecting => Err(conflict(&format!(
+                "stale seq {seq} (last applied {})",
+                s.last_seq
+            ))),
+            SessionState::Closing(_) => Err(ServiceError::new(closing, "close in progress")),
+            SessionState::Closed(_) => Err(conflict("session already closed")),
+        }
+    }
+
+    /// One session mutation short of a close: [`admit`](Self::admit),
+    /// then `validate` — side-effect free, it returns the record to
+    /// journal — then [`commit`](Self::commit).
+    fn mutate(
+        &self,
+        session: &str,
+        seq: u64,
+        trace: &str,
+        validate: impl FnOnce(&Session) -> Result<Record, ServiceError>,
+    ) -> Result<String, Failure> {
+        let mut inner = lock(&self.inner);
+        if let Some(resp) = self.admit(&inner, session, seq, ErrCode::Conflict)? {
+            return Ok(resp);
+        }
+        let rec = validate(&inner.sessions[session])?;
+        self.commit(&mut inner, &rec, trace)
+    }
+
+    /// Journals `rec`, then applies it: the step every live mutation
+    /// shares. Replies only once the record is durable.
+    fn commit(&self, inner: &mut Inner, rec: &Record, trace: &str) -> Result<String, Failure> {
+        self.journal_append(rec, trace)?;
+        apply_journaled(inner, rec)
+    }
+
+    /// Commits an epoch's decision — the last step of a live close and
+    /// of a close recovery re-solves. The append runs outside the
+    /// session lock, like the solve before it.
+    fn commit_close(
+        &self,
+        session: &str,
+        result: CloseResult,
+        trace: &str,
+    ) -> Result<String, Failure> {
+        let rec = Record::CloseCommit {
+            session: session.into(),
+            result,
+        };
+        self.journal_append(&rec, trace)?;
+        apply_journaled(&mut lock(&self.inner), &rec)
+    }
+
     fn journal_append(&self, rec: &Record, trace: &str) -> Result<(), Failure> {
         let started = Instant::now();
         let mut journal = lock(&self.journal);
@@ -750,141 +950,34 @@ impl ServerCore {
                 self.crashed.store(true, Ordering::SeqCst);
                 Err(Failure::Crash)
             }
-            Err(e) => Err(ServiceError::new(
-                ErrCode::Internal,
-                format!("journal append failed: {e}"),
-            )
-            .into()),
+            Err(e) => {
+                self.poisoned.store(true, Ordering::SeqCst);
+                Err(
+                    ServiceError::new(ErrCode::Internal, format!("journal append failed: {e}"))
+                        .into(),
+                )
+            }
         }
     }
 
-    /// Rebuilds in-memory state from journal records (no re-journaling).
+    /// Rebuilds in-memory state from journal records (no re-journaling)
+    /// through the same [`Inner::apply`] the live handlers use. Each
+    /// record is dropped once applied, so the journal's copy and the
+    /// rebuilt state do not both stay resident.
     fn replay(&self, records: Vec<Record>, report: &mut RecoveryReport) {
         let mut inner = lock(&self.inner);
         for rec in records {
-            let session_id = rec.session().to_string();
-            match rec {
-                Record::Open { session, params } => {
-                    let rebuilt = match Session::create(&params) {
-                        Ok(s) => s,
-                        Err(_) => {
-                            report.anomalies += 1;
-                            continue;
-                        }
-                    };
-                    let numeric: u64 = session
-                        .strip_prefix("s-")
-                        .and_then(|n| n.parse().ok())
-                        .unwrap_or(0);
-                    inner.next_id = inner.next_id.max(numeric);
-                    inner.nonces.insert(params.nonce, session.clone());
-                    inner.sessions.insert(session, rebuilt);
+            match inner.apply(&rec) {
+                Ok(_) => {
+                    if let Record::CloseCommit {
+                        result: CloseResult::Aborted(_),
+                        ..
+                    } = rec
+                    {
+                        report.aborted += 1;
+                    }
                 }
-                Record::Client {
-                    seq, t_cmp, t_com, ..
-                } => match inner.sessions.get_mut(&session_id) {
-                    Some(s) => match apply_client(s, t_cmp, t_com) {
-                        Ok(idx) => {
-                            s.last_seq = seq;
-                            s.last_resp = Some(client_resp(idx));
-                        }
-                        Err(_) => report.anomalies += 1,
-                    },
-                    None => report.anomalies += 1,
-                },
-                Record::Bid {
-                    seq,
-                    client,
-                    price,
-                    theta,
-                    a,
-                    d,
-                    c,
-                    ..
-                } => match inner.sessions.get_mut(&session_id) {
-                    Some(s) => {
-                        let bid = BidParams {
-                            client,
-                            price,
-                            theta,
-                            a,
-                            d,
-                            c,
-                        };
-                        match apply_bid(s, &bid) {
-                            Ok((idx, duplicate)) => {
-                                s.last_seq = seq;
-                                s.last_resp = Some(bid_resp(idx, duplicate));
-                            }
-                            Err(_) => report.anomalies += 1,
-                        }
-                    }
-                    None => report.anomalies += 1,
-                },
-                Record::Decision {
-                    seq,
-                    client,
-                    price,
-                    theta,
-                    a,
-                    d,
-                    c,
-                    committed,
-                    payment,
-                    reason,
-                    duplicate,
-                    ..
-                } => match inner.sessions.get_mut(&session_id) {
-                    Some(s) => {
-                        let bid = BidParams {
-                            client,
-                            price,
-                            theta,
-                            a,
-                            d,
-                            c,
-                        };
-                        // Re-drive the online rule and require the
-                        // re-derived verdict to match the journaled one
-                        // bit-for-bit — a mismatch means the journal and
-                        // the mechanism disagree, which recovery must
-                        // surface, never paper over.
-                        match apply_submit(s, &bid) {
-                            Ok(decision)
-                                if decision.committed == committed
-                                    && decision.payment.to_bits() == payment.to_bits()
-                                    && decision.reason.as_str() == reason
-                                    && decision.duplicate == duplicate =>
-                            {
-                                s.last_seq = seq;
-                                s.last_resp = Some(submit_resp(&decision));
-                            }
-                            _ => report.anomalies += 1,
-                        }
-                    }
-                    None => report.anomalies += 1,
-                },
-                Record::CloseBegin { seq, .. } => match inner.sessions.get_mut(&session_id) {
-                    Some(s) => {
-                        s.state = SessionState::Closing;
-                        s.pending_close_seq = Some(seq);
-                    }
-                    None => report.anomalies += 1,
-                },
-                Record::CloseCommit { result, .. } => match inner.sessions.get_mut(&session_id) {
-                    Some(s) => {
-                        if let CloseResult::Aborted(_) = &result {
-                            report.aborted += 1;
-                        }
-                        if let Some(seq) = s.pending_close_seq.take() {
-                            s.last_seq = seq;
-                        }
-                        s.last_resp = Some(close_resp(&result));
-                        s.state = SessionState::Closed(result);
-                        inner.closed += 1;
-                    }
-                    None => report.anomalies += 1,
-                },
+                Err(_) => report.anomalies += 1,
             }
         }
     }
@@ -893,46 +986,89 @@ impl ServerCore {
     /// is deterministic on the journaled bid set, so the outcome is
     /// bit-identical to what the dead process would have produced.
     fn finish_pending_closes(&self, report: &mut RecoveryReport) {
-        let pending: Vec<(String, CloseWork, u64)> = {
+        let pending: Vec<(String, CloseWork)> = {
             let inner = lock(&self.inner);
             inner
                 .sessions
                 .iter()
-                .filter_map(|(id, s)| match (&s.state, s.pending_close_seq) {
-                    (SessionState::Closing, Some(seq)) => Some((id.clone(), CloseWork::of(s), seq)),
-                    _ => None,
-                })
+                .filter(|(_, s)| matches!(s.state, SessionState::Closing(_)))
+                .map(|(id, s)| (id.clone(), CloseWork::of(s)))
                 .collect()
         };
-        for (id, work, seq) in pending {
+        for (id, work) in pending {
             let result = work.resolve();
-            if self
-                .journal_append(
-                    &Record::CloseCommit {
-                        session: id.clone(),
-                        result: result.clone(),
-                    },
-                    "recovery",
-                )
-                .is_err()
-            {
+            let aborted = matches!(result, CloseResult::Aborted(_));
+            if self.commit_close(&id, result, "recovery").is_err() {
                 // Crashed again (nested crash point) or journal broke:
                 // leave the session Closing; the next recovery retries.
                 return;
             }
             report.replayed_closes += 1;
-            if let CloseResult::Aborted(_) = &result {
+            if aborted {
                 report.aborted += 1;
             }
-            let mut inner = lock(&self.inner);
-            if let Some(s) = inner.sessions.get_mut(&id) {
-                s.last_seq = seq;
-                s.last_resp = Some(close_resp(&result));
-                s.pending_close_seq = None;
-                s.state = SessionState::Closed(result);
-            }
-            inner.closed += 1;
         }
+    }
+
+    /// The core's [`Digest`].
+    pub fn digest(&self) -> Digest {
+        let inner = lock(&self.inner);
+        Digest {
+            closed: inner.closed,
+            sessions: inner
+                .sessions
+                .iter()
+                .map(|(id, s)| (id.clone(), s.digest()))
+                .collect(),
+        }
+    }
+
+    /// Checks that memory equals a replay of the journal: recovers a
+    /// fresh core from a copy of the journal file placed in `scratch`
+    /// and compares [`digest`](Self::digest)s. Meant for a quiescent
+    /// core with no close pending (recovery would finish it).
+    ///
+    /// # Errors
+    ///
+    /// Names the first session whose digests differ, or the I/O failure.
+    pub fn audit(&self, scratch: &Path) -> Result<(), String> {
+        let copy = scratch.join("audit-wal.jsonl");
+        std::fs::copy(lock(&self.journal).path(), &copy)
+            .map_err(|e| format!("copy journal for audit: {e}"))?;
+        let replayed = ServerCore::recover(&copy, Durability::Strict, None, self.limits);
+        let _ = std::fs::remove_file(&copy);
+        let replayed = replayed
+            .map_err(|e| format!("recover journal copy: {e}"))?
+            .0;
+        let (live, replayed) = (self.digest(), replayed.digest());
+        let differs = live
+            .sessions
+            .iter()
+            .find(|&(id, d)| replayed.sessions.get(id) != Some(d));
+        match differs {
+            None if live == replayed => Ok(()),
+            _ => Err(format!(
+                "memory is not a replay of the journal: {differs:?} (closed {} vs {})",
+                live.closed, replayed.closed
+            )),
+        }
+    }
+}
+
+/// Applies a record the journal already holds, for a reply.
+fn apply_journaled(inner: &mut Inner, rec: &Record) -> Result<String, Failure> {
+    match inner.apply(rec) {
+        Ok(resp) => Ok(resp.unwrap_or_default()),
+        // Validation missed what apply refuses: the record is journaled
+        // but changes nothing, here and in every replay.
+        Err(e) => Err(ServiceError::new(
+            ErrCode::Internal,
+            format!(
+                "journaled {} record did not apply: {e}",
+                rec.kind().as_str()
+            ),
+        )
+        .into()),
     }
 }
 
@@ -952,97 +1088,23 @@ fn conflict(detail: &str) -> ServiceError {
     ServiceError::new(ErrCode::Conflict, detail)
 }
 
-fn known_session<'a>(inner: &'a mut Inner, session: &str) -> Result<&'a mut Session, ServiceError> {
-    inner.sessions.get_mut(session).ok_or_else(|| {
-        ServiceError::new(ErrCode::UnknownSession, format!("no session {session:?}"))
-    })
+fn bad_request(e: impl std::fmt::Display) -> ServiceError {
+    ServiceError::new(ErrCode::BadRequest, e.to_string())
 }
 
-/// Looks up a session for a mutating request and requires it to still be
-/// collecting — except for exact-seq replays, which are answered from
-/// the stored response whatever the state.
-fn mutable_session<'a>(
-    inner: &'a mut Inner,
-    session: &str,
-    seq: u64,
-) -> Result<&'a mut Session, ServiceError> {
-    let s = known_session(inner, session)?;
-    let replayable = seq == s.last_seq && s.last_resp.is_some();
-    match &s.state {
-        SessionState::Collecting => {}
-        _ if replayable => {}
-        SessionState::Closing => return Err(conflict("close in progress")),
-        SessionState::Closed(_) => return Err(conflict("session already closed")),
-    }
-    Ok(s)
+fn unknown_session(session: &str) -> ServiceError {
+    ServiceError::new(ErrCode::UnknownSession, format!("no session {session:?}"))
 }
 
-/// The idempotency gate: `Ok(Some(resp))` replays a stored response,
-/// `Ok(None)` admits a fresh seq, `Err` rejects a stale one.
-fn seq_gate(s: &Session, seq: u64) -> Result<Option<String>, ServiceError> {
-    if seq == s.last_seq {
-        if let Some(resp) = &s.last_resp {
-            return Ok(Some(resp.clone()));
-        }
-    }
-    if seq <= s.last_seq {
-        return Err(conflict(&format!(
-            "stale seq {seq} (last applied {})",
-            s.last_seq
-        )));
-    }
-    Ok(None)
+fn known_session<'a>(inner: &'a Inner, session: &str) -> Result<&'a Session, ServiceError> {
+    inner
+        .sessions
+        .get(session)
+        .ok_or_else(|| unknown_session(session))
 }
 
-fn apply_client(s: &mut Session, t_cmp: f64, t_com: f64) -> Result<u32, ServiceError> {
-    let profile = ClientProfile::new(t_cmp, t_com)
-        .map_err(|e| ServiceError::new(ErrCode::BadRequest, e.to_string()))?;
-    let idx = s.instance.add_client(profile).0;
-    if let Some(online) = &mut s.online {
-        // The driver keeps its own instance; registering in both keeps
-        // the indices aligned (both start empty, same order).
-        online.register_client(profile);
-    }
-    Ok(idx)
-}
-
-/// Applies a batch-mode bid, deduplicating identical re-submissions:
-/// the second arrival of a bit-identical `(client, bid)` pair replays
-/// the original index instead of growing the instance.
-fn apply_bid(s: &mut Session, b: &BidParams) -> Result<(u32, bool), ServiceError> {
-    if s.online.is_some() {
-        return Err(conflict(
-            "streaming session accepts \"submit\", not \"bid\"",
-        ));
-    }
-    let fp = bid_fingerprint(b);
-    if let Some(&idx) = s.seen_bids.get(&fp) {
-        return Ok((idx, true));
-    }
-    let bid = Bid::new(b.price, b.theta, Window::new(Round(b.a), Round(b.d)), b.c)
-        .map_err(|e| ServiceError::new(ErrCode::BadRequest, e.to_string()))?;
-    let idx = s
-        .instance
-        .add_bid(ClientId(b.client), bid)
-        .map(|bid_ref| bid_ref.bid)
-        .map_err(|e| ServiceError::new(ErrCode::BadRequest, e.to_string()))?;
-    s.seen_bids.insert(fp, idx);
-    Ok((idx, false))
-}
-
-/// Drives one streaming arrival through the online mechanism. The
-/// driver itself makes duplicates idempotent (it replays the original
-/// decision), so retried and duplicated frames cannot double-commit.
-fn apply_submit(s: &mut Session, b: &BidParams) -> Result<OnlineDecision, ServiceError> {
-    let online = s
-        .online
-        .as_mut()
-        .ok_or_else(|| conflict("batch session accepts \"bid\", not \"submit\""))?;
-    let bid = Bid::new(b.price, b.theta, Window::new(Round(b.a), Round(b.d)), b.c)
-        .map_err(|e| ServiceError::new(ErrCode::BadRequest, e.to_string()))?;
-    online
-        .submit(ClientId(b.client), bid)
-        .map_err(|e| ServiceError::new(ErrCode::BadRequest, e.to_string()))
+fn to_bid(price: f64, theta: f64, a: u32, d: u32, c: u32) -> Result<Bid, ServiceError> {
+    Bid::new(price, theta, Window::new(Round(a), Round(d)), c).map_err(bad_request)
 }
 
 fn ok_only() -> String {
@@ -1488,6 +1550,148 @@ mod tests {
             close.get("status").and_then(Json::as_str),
             Some("committed")
         );
+        // Every fresh seq journaled one record, the duplicate included,
+        // and memory is exactly a replay of that journal.
+        let bytes = std::fs::read(dir.path().join("wal.jsonl")).unwrap();
+        let bids = crate::journal::scan_bytes(&bytes)
+            .records
+            .iter()
+            .filter(|r| matches!(r, Record::Bid { .. }))
+            .count();
+        assert_eq!(bids, 3);
+        core.audit(dir.path()).unwrap();
+    }
+
+    fn code(doc: &Json) -> Option<&str> {
+        doc.get("code").and_then(Json::as_str)
+    }
+
+    /// The `jam` regression harness. Every frame of `acked` succeeds;
+    /// then `jammed` meets a failed append and answers `internal`, and so
+    /// does its identical retry — never `ok`. The poisoned core still
+    /// answers reads and the exact-seq replay of its last ack. A core
+    /// recovered from the file must equal a fault-free core fed exactly
+    /// the acknowledged frames — plus the jammed close when its
+    /// `close_begin` intent was journaled, which recovery finishes.
+    fn jam_case(jam: &str, acked: &[String], jammed: &str, intent_journaled: bool) {
+        let dir = TempDir::new("core-jam");
+        let path = dir.path().join("wal.jsonl");
+        {
+            let plan = FaultPlan::parse(jam).unwrap();
+            let (core, _) =
+                ServerCore::recover(&path, Durability::Strict, Some(plan), Limits::default())
+                    .unwrap();
+            for frame in acked {
+                assert!(ok(&reply(&core, frame)), "{jam}: {frame}");
+            }
+            for attempt in ["first", "retry"] {
+                let r = reply(&core, jammed);
+                assert_eq!(code(&r), Some("internal"), "{jam} {attempt}: {r:?}");
+            }
+            assert!(core.poisoned());
+            let health = reply(&core, &wire::request_to_json(1, &Request::Health));
+            assert_eq!(
+                health.get("status").and_then(Json::as_str),
+                Some("poisoned")
+            );
+            let last = acked.last().unwrap();
+            assert!(ok(&reply(&core, last)), "{jam}: replay of {last}");
+            let read = reply(&core, r#"{"op":"outcome","session":"s-1"}"#);
+            assert_ne!(code(&read), Some("internal"), "{jam}: reads keep working");
+        }
+        let (recovered, report) =
+            ServerCore::recover(&path, Durability::Strict, None, Limits::default()).unwrap();
+        assert_eq!(report.anomalies, 0);
+        let reference_dir = TempDir::new("core-jam-reference");
+        let reference = core(&reference_dir, Limits::default());
+        let expected = acked.iter().map(String::as_str);
+        for frame in expected.chain(intent_journaled.then_some(jammed)) {
+            assert!(ok(&reply(&reference, frame)), "{frame}");
+        }
+        assert_eq!(recovered.digest(), reference.digest(), "{jam}");
+    }
+
+    const OPEN: &str = r#"{"op":"open","nonce":1,"t":6,"k":1,"t_max":60}"#;
+    const CLIENT: &str = r#"{"op":"client","session":"s-1","seq":1,"t_cmp":2,"t_com":5}"#;
+    const BID: &str = r#"{"op":"bid","session":"s-1","seq":2,"client":0,"price":3,"theta":0.55,"a":1,"d":6,"c":6}"#;
+    const CLOSE: &str = r#"{"op":"close","session":"s-1","seq":3}"#;
+
+    #[test]
+    fn jammed_bid_is_never_acknowledged() {
+        // The retry must not pass for a duplicate of a bid the journal
+        // never saw.
+        jam_case("jam=bid:1", &[OPEN.into(), CLIENT.into()], BID, false);
+    }
+
+    #[test]
+    fn jammed_client_is_never_acknowledged() {
+        jam_case("jam=client:1", &[OPEN.into()], CLIENT, false);
+    }
+
+    #[test]
+    fn jammed_submit_is_never_acknowledged() {
+        let open = r#"{"op":"open","nonce":5,"t":4,"k":1,"t_max":60,"budget":40}"#;
+        jam_case(
+            "jam=decision:1",
+            &[open.into(), CLIENT.into()],
+            &submit_frame("s-1", 2, 0, 25.0, 1, 4, 4),
+            false,
+        );
+    }
+
+    #[test]
+    fn jammed_close_is_never_acknowledged() {
+        let acked = [OPEN.into(), CLIENT.into(), BID.into()];
+        jam_case("jam=close_begin:1", &acked, CLOSE, false);
+        // The intent is durable, so recovery finishes the close; until
+        // then the retry answers `internal`, not `backlog`.
+        jam_case("jam=close_commit:1", &acked, CLOSE, true);
+    }
+
+    #[test]
+    fn records_that_contradict_their_session_are_anomalies() {
+        let dir = TempDir::new("core-anomalies");
+        let path = dir.path().join("wal.jsonl");
+        let (mut journal, _) = Journal::open(&path, Durability::Strict, None, None).unwrap();
+        let session = || "s-1".to_string();
+        for rec in [
+            Record::Open {
+                session: session(),
+                params: OpenParams::new(1, 6, 1, 60.0),
+            },
+            Record::Client {
+                session: session(),
+                seq: 2,
+                t_cmp: 2.0,
+                t_com: 5.0,
+            },
+            // Stale seq, a commit with no begin, an unknown session.
+            Record::Client {
+                session: session(),
+                seq: 2,
+                t_cmp: 2.0,
+                t_com: 5.0,
+            },
+            Record::CloseCommit {
+                session: session(),
+                result: CloseResult::Aborted("infeasible".into()),
+            },
+            Record::CloseBegin {
+                session: "s-9".into(),
+                seq: 1,
+            },
+        ] {
+            journal.append(&rec).unwrap();
+        }
+        drop(journal);
+        let (core, report) =
+            ServerCore::recover(&path, Durability::Strict, None, Limits::default()).unwrap();
+        assert_eq!(report.anomalies, 3);
+        let r = reply(
+            &core,
+            r#"{"op":"client","session":"s-1","seq":3,"t_cmp":2,"t_com":5}"#,
+        );
+        assert_eq!(r.get("client").and_then(Json::as_u64), Some(1));
     }
 
     #[test]

@@ -142,6 +142,12 @@ fn every_error_code_lands_in_its_own_counter() {
     // And only what actually fired: one overloaded, one deadline.
     assert_eq!(err_counter(&stats, ErrCode::Overloaded), 1);
     assert_eq!(err_counter(&stats, ErrCode::Deadline), 1);
+    // The failed append poisoned the daemon, and the health plane says so.
+    let health = one_shot(addr, &wire::request_to_json(100, &Request::Health));
+    assert_eq!(
+        health.get("status").and_then(Json::as_str),
+        Some("poisoned")
+    );
 }
 
 /// Crossing [`SHED_STORM_THRESHOLD`] sheds writes one automatic flight

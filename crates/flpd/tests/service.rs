@@ -477,3 +477,72 @@ fn journal_survives_clean_restart() {
         CloseReply::Aborted(r) => panic!("lost the commit across restart: {r}"),
     }
 }
+
+/// Memory is a replay of the journal: after batch and streaming sessions,
+/// a close a crash left pending, and a duplicate `bid` and a duplicate
+/// `submit` under fresh seqs — each the last mutation of its session, so
+/// nothing later masks a skipped record — a core recovered from the
+/// journal file digests exactly like the live daemon.
+#[test]
+fn live_state_is_a_replay_of_the_journal() {
+    let dir = scratch("svc-audit");
+    let journal = dir.path().join("wal.jsonl");
+    let mut cfg = DaemonConfig::new(journal.clone());
+    cfg.faults = Some(fl_flpd::FaultPlan::parse("crash=close_commit:1").unwrap());
+    let daemon = Daemon::start(cfg).unwrap();
+    let mut client = fast_client(daemon.addr());
+    let bid = |client, price, c| BidParams {
+        client,
+        price,
+        theta: 0.55,
+        a: 1,
+        d: 4,
+        c,
+    };
+
+    // The first close commit kills the daemon: the epoch stays pending.
+    let closed = client.open(OpenParams::new(1, 4, 1, 60.0)).unwrap();
+    for _ in 0..2 {
+        client.add_client(&closed, 2.0, 5.0).unwrap();
+    }
+    client.add_bid(&closed, bid(0, 3.0, 4)).unwrap();
+    client.add_bid(&closed, bid(1, 2.0, 2)).unwrap();
+    assert!(client.close(&closed).is_err());
+    assert!(daemon.crashed());
+    drop(daemon);
+
+    // Recovery re-solves the pending close.
+    let daemon = Daemon::start(DaemonConfig::new(journal)).unwrap();
+    assert_eq!(daemon.recovery().replayed_closes, 1);
+    assert_eq!(daemon.recovery().anomalies, 0);
+    let mut client = fast_client(daemon.addr());
+    assert!(matches!(
+        client.outcome(&closed).unwrap(),
+        CloseReply::Committed(_)
+    ));
+
+    let batch = client.open(OpenParams::new(2, 4, 1, 60.0)).unwrap();
+    client.add_client(&batch, 1.0, 1.0).unwrap();
+    assert_eq!(client.add_bid(&batch, bid(0, 9.0, 1)).unwrap(), 0);
+    assert_eq!(client.add_bid(&batch, bid(0, 9.0, 1)).unwrap(), 0);
+
+    let streaming = client
+        .open(OpenParams::streaming(3, 4, 1, 60.0, 40.0))
+        .unwrap();
+    client.add_client(&streaming, 2.0, 5.0).unwrap();
+    assert!(
+        client
+            .submit(&streaming, bid(0, 25.0, 4))
+            .unwrap()
+            .committed
+    );
+    assert!(!client.submit(&streaming, bid(0, 1.0, 4)).unwrap().committed);
+    assert!(
+        client
+            .submit(&streaming, bid(0, 25.0, 4))
+            .unwrap()
+            .duplicate
+    );
+
+    daemon.audit(dir.path()).unwrap();
+}
